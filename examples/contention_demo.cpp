@@ -3,7 +3,7 @@
 //
 // Part 1 (online/): the same Poisson burst is served by fair share under
 // a capped master twice — once with the historical private-port model
-// (each slot's transfers replayed in a private engine run, so the cap
+// (each slot's transfers replayed in its own busy period, so the cap
 // applies per slot) and once with MasterMode::kSharedMaster (one engine
 // run per busy period multiplexing every slot's time-released chunks, so
 // the cap is genuinely shared). Linear and quadratic streams are shown

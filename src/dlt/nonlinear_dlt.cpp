@@ -95,7 +95,9 @@ NonlinearAllocation nonlinear_parallel_single_round(
   root_opts.x_tol = options.tolerance * t_hi;
   root_opts.f_tol = options.tolerance * total_load;
   root_opts.max_iterations = options.max_iterations;
-  const auto root = util::bisect(f, 0.0, t_hi, root_opts);
+  // t_hi bounds the root only up to rounding (it can sit exactly on it,
+  // e.g. for p = 1), so let the bracket grow if f(t_hi) rounds negative.
+  const auto root = util::solve_increasing(f, 0.0, t_hi, root_opts);
   NLDL_ASSERT(root.converged, "nonlinear outer bisection did not converge");
 
   alloc.makespan = root.x;
@@ -170,7 +172,9 @@ NonlinearAllocation nonlinear_one_port_single_round(
   root_opts.x_tol = options.tolerance * t_hi;
   root_opts.f_tol = options.tolerance * total_load;
   root_opts.max_iterations = options.max_iterations;
-  const auto root = util::bisect(f, 0.0, t_hi, root_opts);
+  // As above: t_hi is the first worker's solo makespan, a bracket only up
+  // to the inner solves' rounding.
+  const auto root = util::solve_increasing(f, 0.0, t_hi, root_opts);
   NLDL_ASSERT(root.converged, "one-port outer bisection did not converge");
 
   alloc.makespan = root.x;

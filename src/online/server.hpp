@@ -21,20 +21,19 @@
 //     stream — bit-identical wherever it executes (the property
 //     bench_online's serial-vs-parallel self-check rides on).
 //
-// Master modes: under kPrivatePort (the historical model) each slot
-// replays its jobs through its own engine run, so the master's
-// port/capacity constraint applies per slot, not across concurrent slots
-// (a partitioned master — every slot effectively gets a private port).
-// Under kSharedMaster one engine run per busy period multiplexes the
-// chunks of every concurrent job using time-released chunks
-// (sim::ChunkAssignment::release): each job's chunks are released at its
-// dispatch instant and contend with every other in-flight job's
-// transfers under the ONE configured CommModel — with a
-// BoundedMultiportModel capacity this is honest cross-slot bandwidth
-// contention on a genuinely shared master. A busy period with a single
-// job reproduces the private-port replay bit for bit (chunk times are
-// kept period-relative), so exclusive schedulers are unchanged and
-// fair-share only diverges where contention is real.
+// Master modes: every job is served through a sim::SharedMasterPeriod,
+// one engine run per busy period that multiplexes the chunks of every job
+// dispatched into it (each job's chunks are released at its dispatch
+// instant and contend under the ONE configured CommModel). The mode only
+// decides which slots share a period: under kPrivatePort each slot has its
+// own (a partitioned master, so every period holds one job at a time);
+// under kSharedMaster all slots share one, which with a
+// BoundedMultiportModel capacity is honest cross-slot bandwidth
+// contention. A single-job period reproduces that job's solo replay bit
+// for bit (chunk times are period-relative), so exclusive schedulers are
+// unchanged by the mode and fair-share only diverges where contention is
+// real. A period is flushed once all of its slots are idle and replayed
+// after every fill pass that dispatched into it.
 #pragma once
 
 #include <limits>
@@ -48,7 +47,6 @@
 #include "platform/platform.hpp"
 #include "sim/comm_model.hpp"
 #include "sim/engine.hpp"
-#include "sim/multiplex.hpp"
 
 namespace nldl::obs {
 class MetricsRegistry;
@@ -58,8 +56,8 @@ namespace nldl::online {
 
 /// How concurrent slots reach the master (see the file comment).
 enum class MasterMode {
-  kPrivatePort,   ///< per-slot engine runs: a partitioned master
-  kSharedMaster,  ///< one engine run per busy period: honest contention
+  kPrivatePort,   ///< one busy period per slot: a partitioned master
+  kSharedMaster,  ///< one busy period for all slots: honest contention
 };
 
 [[nodiscard]] std::string to_string(MasterMode mode);
@@ -69,13 +67,15 @@ struct ServerOptions {
   /// Master capacity / concurrency (consulted for kBoundedMultiport).
   double capacity = std::numeric_limits<double>::infinity();
   std::size_t max_concurrent = sim::BoundedMultiportModel::kUnlimited;
-  /// Whether concurrent slots contend for the master's bandwidth.
+  /// Whether concurrent slots contend for the master's bandwidth:
+  /// kPrivatePort gives every slot its own busy period, kSharedMaster
+  /// multiplexes all slots through one.
   MasterMode master = MasterMode::kPrivatePort;
   /// Also simulate every job alone on the full platform to fill
   /// JobStats::isolated_makespan (the slowdown baseline). Costs one extra
   /// engine run per job.
   bool record_isolated = true;
-  /// Shared-master busy periods resume each replay from a checkpoint of
+  /// Busy periods resume each replay from a checkpoint of
   /// the settled prefix (sim::SharedMasterOptions::incremental) instead
   /// of re-simulating the whole period. Bit-identical results; off only
   /// buys the O(period²) reference behavior.
@@ -84,7 +84,7 @@ struct ServerOptions {
   /// server's run). When set, the served timeline is emitted as typed
   /// events on the simulated clock: chunk transfer/compute spans with
   /// job/tenant/worker/alpha attribution, dispatch instants, whole-job
-  /// spans, and (shared-master mode) the replay machinery's bookkeeping.
+  /// spans, and the busy periods' replay bookkeeping.
   /// The isolated-baseline runs (record_isolated) stay untraced — they
   /// are counterfactuals, not the served timeline. Tracing never changes
   /// results: JobStats are bit-identical with or without a sink.
@@ -107,26 +107,14 @@ class Server {
   /// far past the last arrival that takes). `jobs` must be in
   /// non-decreasing arrival order with ids 0..n-1 — the shape every
   /// ArrivalProcess produces. Returns one JobStats per job, in id order.
-  /// `metrics`, when non-null, accumulates shared-master replay cost as
-  /// counters (replay.engine_events / replay.replays /
-  /// replay.busy_periods; untouched under kPrivatePort) — the soak
-  /// bench's events/sec.
+  /// `metrics`, when non-null, accumulates the busy periods' replay cost
+  /// as counters (replay.engine_events / replay.replays /
+  /// replay.busy_periods) — the soak bench's events/sec.
   [[nodiscard]] std::vector<JobStats> run(
       const std::vector<Job>& jobs, const Scheduler& scheduler,
       obs::MetricsRegistry* metrics = nullptr) const;
 
  private:
-  /// Service time of `job` run alone on `slot_platform`; also reports the
-  /// total compute busy time across the slot's workers. When
-  /// `trace_workers` is non-null and the server has a sink, the replay's
-  /// spans are emitted at `trace_offset` with slot-local workers mapped
-  /// to platform indices through it (null = untraced, the baseline runs).
-  [[nodiscard]] double simulate_service(
-      const platform::Platform& slot_platform, const Job& job,
-      double* compute_time,
-      const std::vector<std::size_t>* trace_workers = nullptr,
-      double trace_offset = 0.0) const;
-
   /// The job's optimal single-round allocation on `slot_platform`
   /// (matched to the configured comm model), as an engine schedule.
   [[nodiscard]] std::vector<sim::ChunkAssignment> job_schedule(
@@ -136,18 +124,12 @@ class Server {
   /// `ahead` jobs in front of it (the queue-position cause of its wait).
   void emit_arrival(const Job& job, std::size_t ahead) const;
 
-  /// The two event loops behind run(); `slot_platforms` are the carved
-  /// partitions, `slot_workers[s][j]` the global index of slot s's j-th
-  /// worker. Both fill `stats` in place.
-  void run_private(const std::vector<Job>& jobs, const Scheduler& scheduler,
-                   const std::vector<platform::Platform>& slot_platforms,
-                   const std::vector<std::vector<std::size_t>>& slot_workers,
-                   std::vector<JobStats>& stats) const;
-  void run_shared(const std::vector<Job>& jobs, const Scheduler& scheduler,
-                  const std::vector<platform::Platform>& slot_platforms,
-                  const std::vector<std::vector<std::size_t>>& slot_workers,
-                  std::vector<JobStats>& stats,
-                  obs::MetricsRegistry* metrics) const;
+  /// The event loop behind run(): carves the platform into the
+  /// scheduler's slots and serves `jobs` through the mode's busy periods,
+  /// filling `stats` (all but isolated_makespan) in place.
+  void serve(const std::vector<Job>& jobs, const Scheduler& scheduler,
+             std::vector<JobStats>& stats,
+             obs::MetricsRegistry* metrics) const;
 
   const platform::Platform& platform_;
   ServerOptions options_;

@@ -48,6 +48,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -153,6 +154,13 @@ class Server {
       obs::MetricsRegistry* metrics = nullptr) const;
 
  private:
+  /// Admit every job of `jobs` from `next_arrival` on that has arrived by
+  /// `t`: record its admission verdict and, when admitted, open its
+  /// ServicePlan and append it to `ready`. Shared by both event loops.
+  void admit_until(double t, const std::vector<online::Job>& jobs,
+                   std::size_t& next_arrival, std::vector<JobRecord>& records,
+                   std::vector<std::unique_ptr<ServicePlan>>& plans,
+                   std::vector<std::size_t>& ready) const;
   /// The serial (concurrency == 1) and concurrent (k subsets, shared
   /// master) event loops behind run(); both fill `records` in place.
   void run_serial(const std::vector<online::Job>& jobs, Policy& policy,

@@ -1,10 +1,11 @@
-// Busy-period multiplexing of time-released chunk schedules — the shared
-// machinery behind online::MasterMode::kSharedMaster and the qos
+// Busy-period multiplexing of time-released chunk schedules — the
+// machinery behind both online::MasterMode values (one period per slot
+// under kPrivatePort, one for all slots under kSharedMaster) and the qos
 // server's concurrent installment subsets.
 //
 // A SharedMasterPeriod accumulates the chunks of every unit of work
 // ("owner" — a whole job for the online server, one installment for the
-// qos server) dispatched during one busy period of a shared master, and
+// qos server) dispatched during one busy period of a master, and
 // simulates the accumulated schedule through sim::EngineRun state under
 // one CommModel after each dispatch:
 //

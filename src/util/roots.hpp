@@ -27,15 +27,15 @@ struct RootOptions {
   int max_iterations = 200;
 };
 
-/// Find x in [lo, hi] with f(x) = 0 by bisection.
-///
-/// Requires f(lo) and f(hi) to have opposite signs (or one of them to be an
-/// exact root). Converges unconditionally for continuous f.
+namespace detail {
+
+/// bisect() with f(hi) already known: solve_increasing() has evaluated it
+/// while growing the bracket, and passes it on instead of paying again.
 template <typename F>
-RootResult bisect(F&& f, double lo, double hi, RootOptions opts = {}) {
+RootResult bisect_known_hi(F&& f, double lo, double hi, double fhi,
+                           RootOptions opts) {
   NLDL_REQUIRE(lo <= hi, "bisect requires lo <= hi");
   double flo = f(lo);
-  double fhi = f(hi);
   if (flo == 0.0) return {lo, 0, true};
   if (fhi == 0.0) return {hi, 0, true};
   NLDL_REQUIRE(std::signbit(flo) != std::signbit(fhi),
@@ -60,6 +60,19 @@ RootResult bisect(F&& f, double lo, double hi, RootOptions opts = {}) {
   result.x = 0.5 * (lo + hi);
   result.converged = (hi - lo) <= opts.x_tol * 16;
   return result;
+}
+
+}  // namespace detail
+
+/// Find x in [lo, hi] with f(x) = 0 by bisection.
+///
+/// Requires f(lo) and f(hi) to have opposite signs (or one of them to be an
+/// exact root). Converges unconditionally for continuous f.
+template <typename F>
+RootResult bisect(F&& f, double lo, double hi, RootOptions opts = {}) {
+  NLDL_REQUIRE(lo <= hi, "bisect requires lo <= hi");
+  const double fhi = f(hi);
+  return detail::bisect_known_hi(f, lo, hi, fhi, opts);
 }
 
 /// Newton's method safeguarded by a bisection bracket: whenever the Newton
@@ -104,20 +117,24 @@ RootResult newton_safeguarded(F&& f, DF&& df, double lo, double hi,
 }
 
 /// Convenience wrapper: root of a strictly increasing function, expanding
-/// the upper bracket geometrically from `hi_guess` until f turns positive.
+/// the upper bracket geometrically from `hi_guess` until f turns
+/// non-negative. A guess that lands on the root but rounds to a slightly
+/// negative f just doubles once instead of failing bisect's sign check.
 template <typename F>
 RootResult solve_increasing(F&& f, double lo, double hi_guess,
                             RootOptions opts = {}) {
   NLDL_REQUIRE(hi_guess > lo, "solve_increasing requires hi_guess > lo");
   double hi = hi_guess;
+  double fhi = f(hi);
   int expansions = 0;
-  while (f(hi) < 0.0) {
+  while (fhi < 0.0) {
     hi = lo + (hi - lo) * 2.0;
     NLDL_REQUIRE(++expansions < 200,
                  "solve_increasing: no sign change found (f not increasing "
                  "to a root?)");
+    fhi = f(hi);
   }
-  return bisect(f, lo, hi, opts);
+  return detail::bisect_known_hi(f, lo, hi, fhi, opts);
 }
 
 }  // namespace nldl::util

@@ -1,12 +1,15 @@
-// Tests for the bounded-multiport (water-filling) communication model.
-#include "sim/bounded_multiport.hpp"
-
+// Tests for the bounded-multiport (water-filling) communication model,
+// replayed as single rounds through Engine::run_single_round (span i is
+// worker i's chunk).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 
 #include "dlt/linear_dlt.hpp"
 #include "platform/speed_distributions.hpp"
+#include "sim/comm_model.hpp"
+#include "sim/engine.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -17,14 +20,20 @@ using platform::Platform;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+SimResult run_bounded(const Platform& plat, const std::vector<double>& amounts,
+                      double capacity, double alpha = 1.0) {
+  return Engine(plat, EngineOptions{alpha})
+      .run_single_round(amounts, BoundedMultiportModel(capacity));
+}
+
 TEST(BoundedMultiport, InfiniteCapacityIsParallelLinks) {
   const Platform plat = Platform::from_speeds({1.0, 2.0}, 0.5);
   const std::vector<double> amounts{10.0, 20.0};
   const auto result =
-      simulate_bounded_multiport(plat, amounts, kInf);
+      run_bounded(plat, amounts, kInf);
   // Each transfer runs at its private bandwidth 1/c = 2.
-  EXPECT_NEAR(result.comm_finish[0], 10.0 * 0.5, 1e-9);
-  EXPECT_NEAR(result.comm_finish[1], 20.0 * 0.5, 1e-9);
+  EXPECT_NEAR(result.spans[0].comm_end, 10.0 * 0.5, 1e-9);
+  EXPECT_NEAR(result.spans[1].comm_end, 20.0 * 0.5, 1e-9);
 }
 
 TEST(BoundedMultiport, TinyCapacitySharesFairly) {
@@ -32,9 +41,9 @@ TEST(BoundedMultiport, TinyCapacitySharesFairly) {
   // both run at 0.5 and finish together at amount/0.5.
   const Platform plat = Platform::homogeneous(2, 0.1, 1.0);
   const auto result =
-      simulate_bounded_multiport(plat, {5.0, 5.0}, 1.0);
-  EXPECT_NEAR(result.comm_finish[0], 10.0, 1e-9);
-  EXPECT_NEAR(result.comm_finish[1], 10.0, 1e-9);
+      run_bounded(plat, {5.0, 5.0}, 1.0);
+  EXPECT_NEAR(result.spans[0].comm_end, 10.0, 1e-9);
+  EXPECT_NEAR(result.spans[1].comm_end, 10.0, 1e-9);
 }
 
 TEST(BoundedMultiport, UnequalAmountsReleaseCapacity) {
@@ -43,9 +52,9 @@ TEST(BoundedMultiport, UnequalAmountsReleaseCapacity) {
   // phase 2: second alone at min(10, 2) = 2, remaining 4 units -> t=4.
   const Platform plat = Platform::homogeneous(2, 0.1, 1.0);
   const auto result =
-      simulate_bounded_multiport(plat, {2.0, 6.0}, 2.0);
-  EXPECT_NEAR(result.comm_finish[0], 2.0, 1e-9);
-  EXPECT_NEAR(result.comm_finish[1], 4.0, 1e-9);
+      run_bounded(plat, {2.0, 6.0}, 2.0);
+  EXPECT_NEAR(result.spans[0].comm_end, 2.0, 1e-9);
+  EXPECT_NEAR(result.spans[1].comm_end, 4.0, 1e-9);
 }
 
 TEST(BoundedMultiport, PrivateCapBindsBeforeShare) {
@@ -54,27 +63,27 @@ TEST(BoundedMultiport, PrivateCapBindsBeforeShare) {
   std::vector<platform::Processor> workers{{2.0, 1.0}, {0.1, 1.0}};
   const Platform plat{std::move(workers)};
   const auto result =
-      simulate_bounded_multiport(plat, {1.0, 7.0}, 4.0);
-  EXPECT_NEAR(result.comm_finish[0], 2.0, 1e-9);   // 1 / 0.5
-  EXPECT_NEAR(result.comm_finish[1], 2.0, 1e-9);   // 7 / 3.5
+      run_bounded(plat, {1.0, 7.0}, 4.0);
+  EXPECT_NEAR(result.spans[0].comm_end, 2.0, 1e-9);   // 1 / 0.5
+  EXPECT_NEAR(result.spans[1].comm_end, 2.0, 1e-9);   // 7 / 3.5
 }
 
 TEST(BoundedMultiport, ComputeFollowsComm) {
   const Platform plat = Platform::homogeneous(1, 1.0, 2.0);
   const auto result =
-      simulate_bounded_multiport(plat, {3.0}, kInf, 2.0);
-  EXPECT_NEAR(result.comm_finish[0], 3.0, 1e-9);
-  EXPECT_NEAR(result.compute_finish[0], 3.0 + 2.0 * 9.0, 1e-9);
+      run_bounded(plat, {3.0}, kInf, 2.0);
+  EXPECT_NEAR(result.spans[0].comm_end, 3.0, 1e-9);
+  EXPECT_NEAR(result.spans[0].compute_end, 3.0 + 2.0 * 9.0, 1e-9);
   EXPECT_NEAR(result.makespan, 21.0, 1e-9);
 }
 
 TEST(BoundedMultiport, ZeroAmountsAreFree) {
   const Platform plat = Platform::homogeneous(3);
   const auto result =
-      simulate_bounded_multiport(plat, {0.0, 5.0, 0.0}, 1.0);
-  EXPECT_DOUBLE_EQ(result.comm_finish[0], 0.0);
-  EXPECT_DOUBLE_EQ(result.comm_finish[2], 0.0);
-  EXPECT_NEAR(result.comm_finish[1], 5.0, 1e-9);
+      run_bounded(plat, {0.0, 5.0, 0.0}, 1.0);
+  EXPECT_DOUBLE_EQ(result.spans[0].comm_end, 0.0);
+  EXPECT_DOUBLE_EQ(result.spans[2].comm_end, 0.0);
+  EXPECT_NEAR(result.spans[1].comm_end, 5.0, 1e-9);
 }
 
 TEST(BoundedMultiport, MakespanMonotoneInCapacity) {
@@ -84,7 +93,7 @@ TEST(BoundedMultiport, MakespanMonotoneInCapacity) {
   const auto alloc = dlt::linear_parallel_single_round(plat, 100.0);
   double previous = kInf;
   for (const double capacity : {0.5, 1.0, 2.0, 8.0, 64.0}) {
-    const auto result = simulate_bounded_multiport(
+    const auto result = run_bounded(
         plat, alloc.amounts, capacity);
     EXPECT_LE(result.makespan, previous + 1e-9)
         << "capacity " << capacity;
@@ -92,7 +101,7 @@ TEST(BoundedMultiport, MakespanMonotoneInCapacity) {
   }
   // Large capacity converges to the parallel-links optimum.
   const auto unconstrained =
-      simulate_bounded_multiport(plat, alloc.amounts, kInf);
+      run_bounded(plat, alloc.amounts, kInf);
   EXPECT_NEAR(previous, unconstrained.makespan,
               1e-6 * unconstrained.makespan);
 }
@@ -103,10 +112,10 @@ TEST(BoundedMultiport, AggregateThroughputRespectsCapacity) {
   const std::vector<double> amounts{10.0, 10.0, 10.0, 10.0};
   const double capacity = 2.0;
   const auto result =
-      simulate_bounded_multiport(plat, amounts, capacity);
+      run_bounded(plat, amounts, capacity);
   double last_finish = 0.0;
-  for (const double t : result.comm_finish) {
-    last_finish = std::max(last_finish, t);
+  for (const ChunkSpan& span : result.spans) {
+    last_finish = std::max(last_finish, span.comm_end);
   }
   EXPECT_GE(last_finish, 40.0 / capacity - 1e-9);
 }
@@ -114,16 +123,16 @@ TEST(BoundedMultiport, AggregateThroughputRespectsCapacity) {
 TEST(BoundedMultiport, RejectsBadInput) {
   const Platform plat = Platform::homogeneous(2);
   EXPECT_THROW(
-      (void)simulate_bounded_multiport(plat, {1.0}, 1.0),
+      (void)run_bounded(plat, {1.0}, 1.0),
       util::PreconditionError);
   EXPECT_THROW(
-      (void)simulate_bounded_multiport(plat, {1.0, 1.0}, 0.0),
+      (void)run_bounded(plat, {1.0, 1.0}, 0.0),
       util::PreconditionError);
   EXPECT_THROW(
-      (void)simulate_bounded_multiport(plat, {1.0, -1.0}, 1.0),
+      (void)run_bounded(plat, {1.0, -1.0}, 1.0),
       util::PreconditionError);
   EXPECT_THROW(
-      (void)simulate_bounded_multiport(plat, {1.0, 1.0}, 1.0, 0.5),
+      (void)run_bounded(plat, {1.0, 1.0}, 1.0, 0.5),
       util::PreconditionError);
 }
 

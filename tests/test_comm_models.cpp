@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "platform/processor.hpp"
-#include "sim/bounded_multiport.hpp"
 #include "sim/engine.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -170,9 +169,9 @@ TEST(CommModelEquivalence, MakespanMonotoneInCapacity) {
   }
 }
 
-TEST(CommModelEquivalence, DeprecatedShimMatchesEngine) {
-  // simulate_bounded_multiport() is a thin wrapper over the engine; its
-  // per-worker view must agree with the spans.
+TEST(CommModelEquivalence, SingleRoundMatchesExplicitSchedule) {
+  // run_single_round() is a convenience over run(): its per-worker view
+  // must agree with a replay of the explicit single-round schedule.
   util::Rng rng(99);
   for (int rep = 0; rep < 20; ++rep) {
     const Platform plat = random_platform(rng, /*uniform_c=*/false);
@@ -181,16 +180,16 @@ TEST(CommModelEquivalence, DeprecatedShimMatchesEngine) {
       amount = rng.uniform() < 0.2 ? 0.0 : rng.uniform(0.1, 10.0);
     }
     const double capacity = rng.uniform(0.5, 8.0);
-    const auto shim =
-        simulate_bounded_multiport(plat, amounts, capacity, 2.0);
     const Engine engine(plat, EngineOptions{2.0});
+    const BoundedMultiportModel model(capacity);
+    const SimResult round = engine.run_single_round(amounts, model);
     const SimResult direct =
-        engine.run_single_round(amounts, BoundedMultiportModel(capacity));
+        engine.run(single_round_schedule(amounts), model);
     for (const ChunkSpan& span : direct.spans) {
-      EXPECT_EQ(shim.comm_finish[span.worker], span.comm_end);
-      EXPECT_EQ(shim.compute_finish[span.worker], span.compute_end);
+      EXPECT_EQ(round.spans[span.worker].comm_end, span.comm_end);
+      EXPECT_EQ(round.spans[span.worker].compute_end, span.compute_end);
     }
-    EXPECT_EQ(shim.makespan, direct.makespan);
+    EXPECT_EQ(round.makespan, direct.makespan);
   }
 }
 
@@ -222,13 +221,6 @@ TEST(CommModel, FactoryAndNames) {
   EXPECT_EQ(port->kind(), CommModelKind::kOnePort);
   const auto bounded = make_comm_model(CommModelKind::kBoundedMultiport, 2.5);
   EXPECT_EQ(bounded->kind(), CommModelKind::kBoundedMultiport);
-}
-
-TEST(CommModel, CompatibilityAliasesDenoteKinds) {
-  // The pre-engine spelling `sim::CommModel::kOnePort` still works.
-  EXPECT_EQ(CommModel::kParallelLinks, CommModelKind::kParallelLinks);
-  EXPECT_EQ(CommModel::kOnePort, CommModelKind::kOnePort);
-  EXPECT_EQ(CommModel::kBoundedMultiport, CommModelKind::kBoundedMultiport);
 }
 
 TEST(CommModel, RejectsBadParameters) {

@@ -5,11 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <exception>
+#include <string>
+#include <vector>
 
 #include "dlt/analysis.hpp"
 #include "dlt/linear_dlt.hpp"
+#include "platform/processor.hpp"
 #include "platform/speed_distributions.hpp"
-#include "sim/simulator.hpp"
+#include "sim/engine.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -75,9 +79,8 @@ TEST(NonlinearParallel, SimulatorConfirmsMakespan) {
   for (std::size_t i = 0; i < alloc.amounts.size(); ++i) {
     schedule.push_back({i, alloc.amounts[i]});
   }
-  sim::SimOptions options;
-  options.alpha = alpha;
-  const auto result = sim::simulate(plat, schedule, options);
+  const auto result = sim::Engine(plat, sim::EngineOptions{alpha})
+                          .run(schedule, sim::CommModelKind::kParallelLinks);
   EXPECT_NEAR(result.makespan, alloc.makespan, 1e-6 * alloc.makespan);
   for (const double finish : result.worker_finish) {
     EXPECT_NEAR(finish, result.makespan, 1e-5 * result.makespan);
@@ -135,6 +138,51 @@ TEST(NonlinearOnePort, WorkDoneNeverExceedsTotal) {
     EXPECT_LE(alloc.remaining_fraction, 1.0);
     EXPECT_LE(alloc.work_done, alloc.total_work * (1.0 + 1e-9));
   }
+}
+
+// Seeded fuzz over the solvers' documented domain: p in [1, 8], c and w
+// log-uniform on [1e-3, 1e3], loads log-uniform on [1e-9, 1e12], alpha
+// uniform on [1, 5]. Every request is valid, so neither solver may throw,
+// and both must hand out the whole load. The outer solves' upper bracket
+// (a single worker's solo makespan) can sit exactly on the root — always
+// for p = 1 — where rounding used to flip f's sign and abort a plain
+// bisection.
+TEST(NonlinearSolvers, ValidRequestsNeverThrowAndConserveLoad) {
+  util::Rng rng(20130520);
+  const auto log_uniform = [&rng](double lo, double hi) {
+    return std::exp(rng.uniform(std::log(lo), std::log(hi)));
+  };
+  int throws = 0;
+  std::string first_throw;
+  for (int rep = 0; rep < 2000; ++rep) {
+    const auto p = static_cast<std::size_t>(rng.uniform_int(1, 8));
+    std::vector<platform::Processor> workers;
+    for (std::size_t i = 0; i < p; ++i) {
+      const double c = log_uniform(1e-3, 1e3);
+      workers.push_back({c, log_uniform(1e-3, 1e3)});
+    }
+    const Platform plat{std::move(workers)};
+    const double load = log_uniform(1e-9, 1e12);
+    const double alpha = rng.uniform(1.0, 5.0);
+    for (const bool one_port : {false, true}) {
+      try {
+        const auto alloc =
+            one_port ? nonlinear_one_port_single_round(plat, load, alpha)
+                     : nonlinear_parallel_single_round(plat, load, alpha);
+        double total = 0.0;
+        for (const double amount : alloc.amounts) total += amount;
+        EXPECT_NEAR(total, load, 1e-9 * load)
+            << "rep " << rep << (one_port ? " one-port" : " parallel");
+      } catch (const std::exception& error) {
+        if (throws++ == 0) {
+          first_throw = "rep " + std::to_string(rep) +
+                        (one_port ? " one-port: " : " parallel: ") +
+                        error.what();
+        }
+      }
+    }
+  }
+  EXPECT_EQ(throws, 0) << "first: " << first_throw;
 }
 
 // The central claim of Section 2: as p grows, the DLT round covers a

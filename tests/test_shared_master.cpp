@@ -10,7 +10,9 @@
 //     bit-identical to the private-port run, two jobs with disjoint busy
 //     periods match the private-port run bit for bit, and overlapping
 //     fair-share jobs under a capped master finish no earlier than under
-//     private ports — strictly later when the cap binds;
+//     private ports — strictly later when the cap binds — while
+//     overlapping private-port jobs replay exactly like solo runs on
+//     their slots;
 //   - qos level: concurrency > 1 serves installments of different jobs on
 //     disjoint subsets concurrently with deterministic, internally
 //     consistent accounting (tests/test_qos.cpp keeps the serial-path
@@ -23,12 +25,14 @@
 #include <limits>
 #include <vector>
 
+#include "dlt/nonlinear_dlt.hpp"
 #include "online/metrics.hpp"
 #include "online/scheduler.hpp"
 #include "online/server.hpp"
 #include "platform/platform.hpp"
 #include "qos/policy.hpp"
 #include "qos/server.hpp"
+#include "sim/comm_model.hpp"
 #include "sim/engine.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -241,6 +245,57 @@ TEST(SharedMasterOnline, ContentionOnlyEverDelaysFairShareJobs) {
     total_shared += b[i].finish;
   }
   EXPECT_GT(total_shared, total_private + 1e-6);
+}
+
+TEST(SharedMasterOnline, PrivatePortSlotsNeverContend) {
+  // Overlapping fair-share jobs under private ports: each slot has its own
+  // busy period, so every job must replay exactly like its solo run on
+  // its slot's carved platform — bit for bit, however busy the other
+  // slots are.
+  const Platform plat = Platform::two_class(8, 1.0, 3.0);
+  const auto jobs = poisson_stream(0.08, 800.0, 4321);
+  ASSERT_GE(jobs.size(), 10u);
+  const online::FairShareScheduler fair(4);
+  const platform::Platform::Partition carve =
+      plat.interleaved_partition(fair.shares());
+  for (const sim::CommModelKind comm :
+       {sim::CommModelKind::kBoundedMultiport, sim::CommModelKind::kOnePort}) {
+    SCOPED_TRACE(sim::to_string(comm));
+    online::ServerOptions options;
+    options.comm = comm;
+    options.capacity = 1.5;
+    options.master = MasterMode::kPrivatePort;
+    const auto stats = online::Server(plat, options).run(jobs, fair);
+    const auto model = sim::make_comm_model(comm, options.capacity);
+
+    bool overlapped = false;
+    for (const JobStats& a : stats) {
+      for (const JobStats& b : stats) {
+        overlapped = overlapped || (a.slot != b.slot &&
+                                    b.dispatch <= a.dispatch &&
+                                    a.dispatch < b.finish);
+      }
+    }
+    EXPECT_TRUE(overlapped) << "no dispatch while another slot was busy";
+
+    for (const JobStats& record : stats) {
+      const Platform& slot = carve.subsets[record.slot];
+      const auto schedule =
+          dlt::nonlinear_single_round_for(comm, slot, record.job.load,
+                                          record.job.alpha)
+              .to_schedule();
+      double compute = 0.0;
+      const sim::SimResult solo =
+          sim::Engine(slot, {record.job.alpha})
+              .run(schedule, *model,
+                   [&compute](std::size_t, const sim::ChunkSpan& span) {
+                     compute += span.compute_end - span.compute_start;
+                   });
+      EXPECT_EQ(record.finish, record.dispatch + solo.makespan)
+          << "job " << record.job.id;
+      EXPECT_EQ(record.compute_time, compute) << "job " << record.job.id;
+    }
+  }
 }
 
 TEST(SharedMasterOnline, SharedRunsAreDeterministicOnReplay) {

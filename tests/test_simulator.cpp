@@ -1,10 +1,9 @@
-// Unit tests for the master→worker schedule simulator.
-#include "sim/simulator.hpp"
-
+// Unit tests for the master→worker schedule replay (Engine::run).
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
 
+#include "sim/engine.hpp"
 #include "sim/trace.hpp"
 #include "util/assert.hpp"
 
@@ -15,7 +14,8 @@ using platform::Platform;
 
 TEST(Simulate, SingleChunkTimeline) {
   const Platform plat = Platform::from_speeds({2.0}, 3.0);  // c=3, w=0.5
-  const SimResult result = simulate(plat, {{0, 4.0}});
+  const SimResult result =
+      Engine(plat).run({{0, 4.0}}, CommModelKind::kParallelLinks);
   ASSERT_EQ(result.spans.size(), 1U);
   const ChunkSpan& span = result.spans[0];
   EXPECT_DOUBLE_EQ(span.comm_start, 0.0);
@@ -27,7 +27,8 @@ TEST(Simulate, SingleChunkTimeline) {
 
 TEST(Simulate, ParallelLinksOverlapAcrossWorkers) {
   const Platform plat = Platform::homogeneous(2, 1.0, 1.0);
-  const SimResult result = simulate(plat, {{0, 5.0}, {1, 5.0}});
+  const SimResult result =
+      Engine(plat).run({{0, 5.0}, {1, 5.0}}, CommModelKind::kParallelLinks);
   // Both communications start at t = 0 under parallel links.
   EXPECT_DOUBLE_EQ(result.spans[0].comm_start, 0.0);
   EXPECT_DOUBLE_EQ(result.spans[1].comm_start, 0.0);
@@ -36,9 +37,8 @@ TEST(Simulate, ParallelLinksOverlapAcrossWorkers) {
 
 TEST(Simulate, OnePortSerializesComms) {
   const Platform plat = Platform::homogeneous(2, 1.0, 1.0);
-  SimOptions options;
-  options.comm_model = CommModel::kOnePort;
-  const SimResult result = simulate(plat, {{0, 5.0}, {1, 5.0}}, options);
+  const SimResult result =
+      Engine(plat).run({{0, 5.0}, {1, 5.0}}, CommModelKind::kOnePort);
   EXPECT_DOUBLE_EQ(result.spans[0].comm_start, 0.0);
   EXPECT_DOUBLE_EQ(result.spans[1].comm_start, 5.0);  // waits for port
   EXPECT_DOUBLE_EQ(result.makespan, 15.0);
@@ -46,9 +46,8 @@ TEST(Simulate, OnePortSerializesComms) {
 
 TEST(Simulate, NonlinearComputeCost) {
   const Platform plat = Platform::homogeneous(1, 1.0, 2.0);
-  SimOptions options;
-  options.alpha = 2.0;
-  const SimResult result = simulate(plat, {{0, 3.0}}, options);
+  const SimResult result = Engine(plat, EngineOptions{2.0})
+                               .run({{0, 3.0}}, CommModelKind::kParallelLinks);
   // comm 3, compute 2 · 3² = 18.
   EXPECT_DOUBLE_EQ(result.makespan, 21.0);
 }
@@ -57,7 +56,8 @@ TEST(Simulate, MultiRoundPipelinesCommAndCompute) {
   // One worker, two chunks: the second chunk's comm overlaps the first
   // chunk's compute.
   const Platform plat = Platform::homogeneous(1, 1.0, 2.0);
-  const SimResult result = simulate(plat, {{0, 2.0}, {0, 2.0}});
+  const SimResult result =
+      Engine(plat).run({{0, 2.0}, {0, 2.0}}, CommModelKind::kParallelLinks);
   const ChunkSpan& second = result.spans[1];
   EXPECT_DOUBLE_EQ(second.comm_start, 2.0);  // link free after first comm
   EXPECT_DOUBLE_EQ(second.comm_end, 4.0);
@@ -68,24 +68,28 @@ TEST(Simulate, MultiRoundPipelinesCommAndCompute) {
 
 TEST(Simulate, ZeroSizeChunksAreFree) {
   const Platform plat = Platform::homogeneous(2);
-  const SimResult result = simulate(plat, {{0, 0.0}, {1, 3.0}});
+  const SimResult result =
+      Engine(plat).run({{0, 0.0}, {1, 3.0}}, CommModelKind::kParallelLinks);
   EXPECT_DOUBLE_EQ(result.worker_compute_time[0], 0.0);
   EXPECT_DOUBLE_EQ(result.makespan, 6.0);
 }
 
 TEST(Simulate, RejectsBadInput) {
   const Platform plat = Platform::homogeneous(1);
-  EXPECT_THROW((void)simulate(plat, {{1, 1.0}}), util::PreconditionError);
-  EXPECT_THROW((void)simulate(plat, {{0, -1.0}}), util::PreconditionError);
-  SimOptions options;
-  options.alpha = 0.5;
-  EXPECT_THROW((void)simulate(plat, {{0, 1.0}}, options),
+  const Engine engine(plat);
+  EXPECT_THROW((void)engine.run({{1, 1.0}}, CommModelKind::kParallelLinks),
+               util::PreconditionError);
+  EXPECT_THROW((void)engine.run({{0, -1.0}}, CommModelKind::kParallelLinks),
+               util::PreconditionError);
+  EXPECT_THROW((void)Engine(plat, EngineOptions{0.5})
+                   .run({{0, 1.0}}, CommModelKind::kParallelLinks),
                util::PreconditionError);
 }
 
 TEST(Simulate, PerWorkerAccounting) {
   const Platform plat = Platform::from_speeds({1.0, 2.0});
-  const SimResult result = simulate(plat, {{0, 2.0}, {1, 4.0}, {0, 1.0}});
+  const SimResult result = Engine(plat).run({{0, 2.0}, {1, 4.0}, {0, 1.0}},
+                                           CommModelKind::kParallelLinks);
   EXPECT_DOUBLE_EQ(result.worker_comm_time[0], 3.0);
   EXPECT_DOUBLE_EQ(result.worker_compute_time[0], 3.0);  // w=1
   EXPECT_DOUBLE_EQ(result.worker_compute_time[1], 2.0);  // w=0.5 · 4
@@ -115,7 +119,8 @@ TEST(LoadImbalance, IdleWorkerIsExcludedAndCounted) {
 
 TEST(AsciiGantt, RendersOneRowPerWorker) {
   const Platform plat = Platform::from_speeds({1.0, 2.0});
-  const SimResult result = simulate(plat, {{0, 4.0}, {1, 4.0}});
+  const SimResult result =
+      Engine(plat).run({{0, 4.0}, {1, 4.0}}, CommModelKind::kParallelLinks);
   const std::string art = ascii_gantt(plat, result, 40);
   EXPECT_EQ(std::count(art.begin(), art.end(), '\n'), 3);  // 2 rows + footer
   EXPECT_NE(art.find('#'), std::string::npos);  // some compute drawn
