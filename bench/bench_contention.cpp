@@ -188,6 +188,16 @@ double cell_slowdown(const ContentionResults& results, std::size_t alpha,
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
+  if (const auto code = bench::check_flags(
+          args, "Private-port vs shared-master contention sweep.",
+          {{"jobs", "target jobs per stream (120)"},
+           {"p", "workers of the two-class platform (8)"},
+           {"seed", "job-stream seed"},
+           {"trace", "export one traced cell's timeline to FILE"},
+           {"metrics", "dump that cell's MetricsRegistry JSON to FILE"},
+           {"blame", "print that cell's critical-path blame table"}})) {
+    return *code;
+  }
   const double jobs_target = args.get_double("jobs", 120.0);
   const auto p = static_cast<std::size_t>(args.get_int("p", 8));
   const auto seed = static_cast<std::uint64_t>(

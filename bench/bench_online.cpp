@@ -164,6 +164,16 @@ void print_table(const OnlineResults& results) {
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
+  if (const auto code = bench::check_flags(
+          args, "Online multi-job service: load x scheduler x comm sweep.",
+          {{"jobs", "target jobs per stream (150)"},
+           {"p", "workers of the two-class platform (8)"},
+           {"seed", "job-stream seed"},
+           {"trace", "export one traced cell's timeline to FILE"},
+           {"metrics", "dump that cell's MetricsRegistry JSON to FILE"},
+           {"blame", "print that cell's critical-path blame table"}})) {
+    return *code;
+  }
   const double jobs_target = args.get_double("jobs", 150.0);
   const auto p = static_cast<std::size_t>(args.get_int("p", 8));
   const auto seed = static_cast<std::uint64_t>(

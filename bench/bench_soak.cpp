@@ -239,6 +239,19 @@ SoakResults compute_all(std::size_t threads,
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
+  if (const auto code = bench::check_flags(
+          args, "Sustained-load soak of the online and qos servers.",
+          {{"jobs", "online jobs per headline cell (1000000)"},
+           {"qos-jobs", "qos jobs per cell (100000)"},
+           {"compare-jobs", "jobs per full-vs-incremental pair (10000)"},
+           {"load", "offered load factor (0.9)"},
+           {"p", "workers of the two-class platform (8)"},
+           {"trace", "export one traced cell's timeline to FILE"},
+           {"metrics", "dump that cell's MetricsRegistry JSON to FILE"},
+           {"blame", "print that cell's critical-path blame table"},
+           {"slo", "burn-rate objective of the traced cell (0.95)"}})) {
+    return *code;
+  }
   const auto jobs =
       static_cast<std::size_t>(args.get_int("jobs", 1000000));
   const auto qos_jobs =

@@ -1,5 +1,6 @@
 #include "bench/harness.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -20,6 +21,35 @@ HarnessOptions harness_options_from_args(const util::Args& args) {
   options.warmup = static_cast<std::size_t>(args.get_int("warmup", 0));
   options.json_path = args.get_string("json", "");
   return options;
+}
+
+std::optional<int> check_flags(const util::Args& args, const char* summary,
+                               std::initializer_list<Flag> flags) {
+  std::vector<Flag> known(flags);
+  known.insert(known.end(),
+               {{"threads", "parallel width of the checked pass (0 = all)"},
+                {"reps", "timed repetitions of each pass (1)"},
+                {"warmup", "untimed warmup passes (0)"},
+                {"json", "output path (BENCH_<name>.json)"}});
+  const char* const program = args.program().c_str();
+  const auto usage = [&](std::FILE* out) {
+    std::fprintf(out, "usage: %s [--flag=value ...]\n%s\n", program, summary);
+    for (const Flag& flag : known) {
+      std::fprintf(out, "  --%-14s %s\n", flag.name, flag.help);
+    }
+  };
+  if (args.has("help")) {
+    usage(stdout);
+    return 0;
+  }
+  for (const auto& [key, value] : args.values()) {
+    const auto named = [&key](const Flag& flag) { return key == flag.name; };
+    if (std::any_of(known.begin(), known.end(), named)) continue;
+    std::fprintf(stderr, "%s: unknown option --%s\n\n", program, key.c_str());
+    usage(stderr);
+    return 2;
+  }
+  return std::nullopt;
 }
 
 bool identical_doubles(const std::vector<double>& a,

@@ -32,6 +32,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -58,6 +60,21 @@ struct HarnessOptions {
 /// --reps=R, --warmup=W, --json=path.
 [[nodiscard]] HarnessOptions harness_options_from_args(
     const util::Args& args);
+
+/// One driver flag for check_flags: its --name and a one-line help.
+struct Flag {
+  const char* name;
+  const char* help;
+};
+
+/// Strict flag handling for a driver reading `flags` plus the shared
+/// harness flags: --help prints `summary` and every flag and yields 0;
+/// an unknown --key is reported on stderr and yields 2; otherwise
+/// nullopt, and the driver runs. Returns the process exit code to stop
+/// with, if any.
+[[nodiscard]] std::optional<int> check_flags(
+    const util::Args& args, const char* summary,
+    std::initializer_list<Flag> flags);
 
 /// Bitwise equality for result vectors built of doubles — the default
 /// self-check comparator. (Exact comparison is the point: the parallel

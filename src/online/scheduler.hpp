@@ -27,12 +27,11 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "dlt/allocation_cache.hpp"
 #include "online/arrivals.hpp"
 #include "online/job.hpp"
 #include "platform/platform.hpp"
@@ -57,60 +56,6 @@ namespace nldl::online {
 [[nodiscard]] double mean_predicted_makespan(
     const JobMix& mix, const platform::Platform& platform,
     sim::CommModelKind comm = sim::CommModelKind::kParallelLinks);
-
-/// Memo of predicted_makespan keyed by job id — one nonlinear solver run
-/// per distinct job instead of one per ranking decision.
-///
-/// A prediction is a pure function of (load, alpha, platform, comm), so
-/// every input is stored next to the cached makespan: querying the same
-/// job id with a different load/alpha (an id reused across streams) or a
-/// different communication model re-solves and overwrites the entry, and
-/// a change of platform (one cache reused across differently-carved
-/// slots or servers) evicts everything. Stale answers are structurally
-/// impossible; tests/test_online.cpp pins the eviction behavior via the
-/// hit/miss counters. Not safe for concurrent use.
-class PredictionCache {
- public:
-  [[nodiscard]] double predict(const Job& job,
-                               const platform::Platform& platform,
-                               sim::CommModelKind comm);
-
-  void clear();
-  [[nodiscard]] std::size_t size() const noexcept { return cache_.size(); }
-  /// Queries answered from the memo / by running the solver.
-  [[nodiscard]] std::size_t hits() const noexcept { return hits_; }
-  [[nodiscard]] std::size_t misses() const noexcept { return misses_; }
-
- private:
-  struct Entry {
-    double load = 0.0;
-    double alpha = 0.0;
-    sim::CommModelKind comm = sim::CommModelKind::kParallelLinks;
-    double makespan = 0.0;
-  };
-
-  /// Allocation-free platform fingerprint (predict() recomputes it per
-  /// query, so it must stay O(p) arithmetic with no heap traffic): the
-  /// worker count plus an FNV-1a digest over every worker's exact
-  /// (c, w) bit pattern, so platforms that merely tie on aggregate
-  /// speed/cost sums cannot collide.
-  struct PlatformSignature {
-    std::size_t size = 0;
-    std::uint64_t digest = 0;
-
-    bool operator==(const PlatformSignature&) const = default;
-  };
-
-  /// Ordered map (nldl-lint unordered-container rule): lookups are by
-  /// exact job id so ordering is irrelevant today, but an ordered memo
-  /// guarantees any future walk (eviction stats, serialization) visits
-  /// entries in id order on every run.
-  std::map<std::size_t, Entry> cache_;
-  PlatformSignature platform_signature_;
-  bool bound_ = false;  ///< platform_signature_ is meaningful
-  std::size_t hits_ = 0;
-  std::size_t misses_ = 0;
-};
 
 class Scheduler {
  public:
@@ -159,31 +104,31 @@ class FairShareScheduler final : public Scheduler {
 /// under (pass the same CommModelKind as ServerOptions::comm). Ties go to
 /// the earliest arrival.
 ///
-/// Predictions are memoized per job id through a PredictionCache (a job's
-/// priority on a fixed slot platform never changes), so a dispatch costs
-/// one solver run per NEW queued job instead of one per queued job. The
-/// memo self-invalidates when the slot platform changes, so one instance
-/// can be reused across servers; concurrent pick() calls on one instance
-/// are not supported (construct one scheduler per sweep point, as
-/// bench_online does).
+/// Predictions go through the scheduler's own dlt::AllocationCache,
+/// keyed by (slot platform, load, alpha): a queued job's priority never
+/// changes, so a dispatch costs one solver run per NEW queued shape
+/// instead of one per queued job. The memo is keyed by the exact slot
+/// platform, so one instance can be reused across servers; concurrent
+/// pick() calls on one instance are not supported (construct one
+/// scheduler per sweep point, as bench_online does).
 class SpmfScheduler final : public Scheduler {
  public:
   explicit SpmfScheduler(
       sim::CommModelKind comm = sim::CommModelKind::kParallelLinks)
-      : comm_(comm) {}
+      : model_(sim::make_comm_model(comm)), cache_(*model_) {}
 
   [[nodiscard]] std::string name() const override { return "spmf"; }
   [[nodiscard]] std::size_t pick(
       const std::vector<Job>& queue,
       const platform::Platform& slot_platform) const override;
 
-  [[nodiscard]] const PredictionCache& cache() const noexcept {
+  [[nodiscard]] const dlt::AllocationCache& cache() const noexcept {
     return cache_;
   }
 
  private:
-  sim::CommModelKind comm_;
-  mutable PredictionCache cache_;
+  std::unique_ptr<sim::CommModel> model_;  ///< binds cache_'s allocator
+  mutable dlt::AllocationCache cache_;
 };
 
 /// Discriminator for the built-in schedulers (bench/example sweep axis).

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <limits>
 
-#include "dlt/nonlinear_dlt.hpp"
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 #include "sim/multiplex.hpp"
@@ -47,13 +46,6 @@ Server::Server(const platform::Platform& platform, ServerOptions options)
       model_(sim::make_comm_model(options.comm, options.capacity,
                                   options.max_concurrent)) {}
 
-std::vector<sim::ChunkAssignment> Server::job_schedule(
-    const platform::Platform& slot_platform, const Job& job) const {
-  return dlt::nonlinear_single_round_for(options_.comm, slot_platform,
-                                         job.load, job.alpha)
-      .to_schedule();
-}
-
 std::vector<JobStats> Server::run(const std::vector<Job>& jobs,
                                   const Scheduler& scheduler,
                                   obs::MetricsRegistry* metrics) const {
@@ -74,19 +66,19 @@ std::vector<JobStats> Server::run(const std::vector<Job>& jobs,
     (void)metrics->counter("replay.busy_periods");
   }
 
-  // The isolated baselines are counterfactuals, not the served timeline:
-  // one untraced engine run of each job alone on the whole platform.
+  // One run-local memo serves every solve of the stream. The isolated
+  // baselines are counterfactuals, not the served timeline: one untraced
+  // engine replay of each job alone on the whole platform.
+  dlt::AllocationCache cache(*model_);
   std::vector<JobStats> stats(jobs.size());
   if (options_.record_isolated) {
     for (const Job& job : jobs) {
       stats[job.id].isolated_makespan =
-          sim::Engine(platform_, {job.alpha})
-              .run(job_schedule(platform_, job), *model_)
-              .makespan;
+          cache.replay(platform_, job.load, job.alpha).makespan;
     }
   }
 
-  serve(jobs, scheduler, stats, metrics);
+  serve(jobs, scheduler, cache, stats, metrics);
 
   // One kJob span per served job, in id order — the per-job track of the
   // exported timeline (chunk spans came from the busy periods, where
@@ -109,7 +101,7 @@ std::vector<JobStats> Server::run(const std::vector<Job>& jobs,
 }
 
 void Server::serve(const std::vector<Job>& jobs, const Scheduler& scheduler,
-                   std::vector<JobStats>& stats,
+                   dlt::AllocationCache& cache, std::vector<JobStats>& stats,
                    obs::MetricsRegistry* metrics) const {
   // Carve the platform into the scheduler's slots (interleaved so a
   // sorted or two-class platform splits evenly); the carve also maps
@@ -207,7 +199,9 @@ void Server::serve(const std::vector<Job>& jobs, const Scheduler& scheduler,
 
       const std::size_t p = period_of(s);
       slot_owner[s] = periods[p].dispatch(
-          now, job.alpha, job_schedule(carve.subsets[s], job),
+          now, job.alpha,
+          cache.allocation(carve.subsets[s], job.load, job.alpha)
+              .to_schedule(),
           carve.workers[s], job.id, job.tenant);
       owner_job[p].push_back(job.id);
       replay_due[p] = 1;

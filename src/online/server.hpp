@@ -11,10 +11,11 @@
 //     picks the next job; the job's load is split across the slot's
 //     workers by the OPTIMAL single-round nonlinear allocation matched to
 //     the communication model (dlt::nonlinear_one_port_single_round under
-//     one-port, dlt::nonlinear_parallel_single_round otherwise), and the
-//     resulting schedule is replayed by sim::Engine under the configured
-//     CommModel — the per-job finish time is timestamped via the engine's
-//     ChunkCompletionHook;
+//     one-port, dlt::nonlinear_parallel_single_round otherwise; every
+//     solve of a run goes through one run-local dlt::AllocationCache),
+//     and the resulting schedule is replayed by sim::Engine under the
+//     configured CommModel — the per-job finish time is timestamped via
+//     the engine's ChunkCompletionHook;
 //   - simultaneous events resolve deterministically: completions first,
 //     then arrivals, then dispatches in ascending slot index. The whole
 //     simulation consumes no RNG, so a run is a pure function of the job
@@ -41,12 +42,12 @@
 #include <string>
 #include <vector>
 
+#include "dlt/allocation_cache.hpp"
 #include "obs/trace.hpp"
 #include "online/job.hpp"
 #include "online/scheduler.hpp"
 #include "platform/platform.hpp"
 #include "sim/comm_model.hpp"
-#include "sim/engine.hpp"
 
 namespace nldl::obs {
 class MetricsRegistry;
@@ -115,20 +116,16 @@ class Server {
       obs::MetricsRegistry* metrics = nullptr) const;
 
  private:
-  /// The job's optimal single-round allocation on `slot_platform`
-  /// (matched to the configured comm model), as an engine schedule.
-  [[nodiscard]] std::vector<sim::ChunkAssignment> job_schedule(
-      const platform::Platform& slot_platform, const Job& job) const;
-
   /// kArrival instant when tracing: the job joined the wait queue with
   /// `ahead` jobs in front of it (the queue-position cause of its wait).
   void emit_arrival(const Job& job, std::size_t ahead) const;
 
   /// The event loop behind run(): carves the platform into the
   /// scheduler's slots and serves `jobs` through the mode's busy periods,
-  /// filling `stats` (all but isolated_makespan) in place.
+  /// solving every dispatch through the run's `cache` and filling `stats`
+  /// (all but isolated_makespan) in place.
   void serve(const std::vector<Job>& jobs, const Scheduler& scheduler,
-             std::vector<JobStats>& stats,
+             dlt::AllocationCache& cache, std::vector<JobStats>& stats,
              obs::MetricsRegistry* metrics) const;
 
   const platform::Platform& platform_;

@@ -4,9 +4,9 @@
 
 namespace nldl::qos {
 
-namespace {
-
-void validate_options(const AdmissionOptions& options) {
+AdmissionController::AdmissionController(InstallmentSolver& solver,
+                                         AdmissionOptions options)
+    : solver_(solver), options_(options) {
   NLDL_REQUIRE(options.min_load_fraction > 0.0 &&
                    options.min_load_fraction <= 1.0,
                "min_load_fraction must be in (0, 1]");
@@ -14,29 +14,11 @@ void validate_options(const AdmissionOptions& options) {
                "bisection_iterations must be >= 1");
 }
 
-}  // namespace
-
-AdmissionController::AdmissionController(const platform::Platform& platform,
-                                         ServiceModel service,
-                                         AdmissionOptions options)
-    : owned_model_(make_model(service)), options_(options) {
-  validate_options(options);
-  owned_solver_ =
-      std::make_unique<InstallmentSolver>(platform, *owned_model_, service);
-  solver_ = owned_solver_.get();
-}
-
-AdmissionController::AdmissionController(InstallmentSolver& solver,
-                                         AdmissionOptions options)
-    : solver_(&solver), options_(options) {
-  validate_options(options);
-}
-
 AdmissionDecision AdmissionController::decide(const online::Job& job) const {
   NLDL_REQUIRE(job.load > 0.0, "admission requires a positive load");
   AdmissionDecision decision;
   const auto service_of = [&](double load) {
-    return solver_->predicted_service(load, job.alpha);
+    return solver_.predicted_service(load, job.alpha);
   };
 
   const double full = service_of(job.load);

@@ -28,10 +28,8 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 
 #include "online/job.hpp"
-#include "platform/platform.hpp"
 #include "qos/plan.hpp"
 
 namespace nldl::qos {
@@ -62,27 +60,16 @@ struct AdmissionDecision {
 
 class AdmissionController {
  public:
-  /// Standalone controller: owns its comm model and installment solver.
-  AdmissionController(const platform::Platform& platform,
-                      ServiceModel service, AdmissionOptions options = {});
-
-  /// Controller sharing an existing solver (the qos::Server wires its
-  /// own through, so admission predictions are memo hits when the
-  /// ServicePlan later solves the same installment). The solver must
-  /// outlive the controller.
+  /// Predicts through `solver`, which must outlive the controller (the
+  /// qos::Server passes its run's solver, so admission predictions are
+  /// memo hits when the ServicePlan later solves the same installment).
   explicit AdmissionController(InstallmentSolver& solver,
                                AdmissionOptions options = {});
-
-  [[nodiscard]] const AdmissionOptions& options() const noexcept {
-    return options_;
-  }
 
   [[nodiscard]] AdmissionDecision decide(const online::Job& job) const;
 
  private:
-  std::unique_ptr<sim::CommModel> owned_model_;
-  std::unique_ptr<InstallmentSolver> owned_solver_;
-  InstallmentSolver* solver_;  ///< owned_solver_ or the shared one
+  InstallmentSolver& solver_;
   AdmissionOptions options_;
 };
 

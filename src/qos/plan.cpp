@@ -1,7 +1,5 @@
 #include "qos/plan.hpp"
 
-#include "dlt/nonlinear_dlt.hpp"
-#include "sim/engine.hpp"
 #include "util/assert.hpp"
 
 namespace nldl::qos {
@@ -14,46 +12,22 @@ std::unique_ptr<sim::CommModel> make_model(const ServiceModel& service) {
 InstallmentSolver::InstallmentSolver(const platform::Platform& platform,
                                      const sim::CommModel& model,
                                      ServiceModel service)
-    : platform_(platform), model_(model), service_(service) {
+    : platform_(platform), service_(service), cache_(model) {
   NLDL_REQUIRE(service.plan.rounds >= 1,
                "service plans require at least one round");
 }
 
-InstallmentSolver::Installment InstallmentSolver::solve(double load,
-                                                        double alpha) {
+dlt::AllocationCache::Replay InstallmentSolver::solve(double load,
+                                                      double alpha) {
   NLDL_REQUIRE(load > 0.0, "installments require a positive load");
-  const auto key = std::make_pair(load, alpha);
-  const auto it = cache_.find(key);
-  if (it != cache_.end()) return it->second;
-
-  // Solve the matched optimal allocation and replay it under the actual
-  // comm model (the replay reproduces the allocator's makespan under the
-  // matched discrete models and corrects it under bounded multiport).
-  const auto allocation =
-      dlt::nonlinear_single_round_for(service_.comm, platform_, load, alpha);
-  const sim::Engine engine(platform_, {alpha});
-  const sim::SimResult result = engine.run(allocation.to_schedule(), model_);
-  Installment installment;
-  installment.duration = result.makespan;
-  for (const double t : result.worker_compute_time) {
-    installment.busy += t;
-  }
-  cache_[key] = installment;
-  return installment;
+  // The replay reproduces the allocator's makespan under the matched
+  // discrete models and corrects it under bounded multiport.
+  return cache_.replay(platform_, load, alpha);
 }
 
 double InstallmentSolver::predicted_service(double load, double alpha) {
-  NLDL_REQUIRE(load > 0.0, "predicted_service requires a positive load");
   const double rounds = static_cast<double>(service_.plan.rounds);
-  return rounds * solve(load / rounds, alpha).duration;
-}
-
-double predicted_service(const ServiceModel& service,
-                         const platform::Platform& platform, double load,
-                         double alpha) {
-  const auto model = make_model(service);
-  InstallmentSolver solver(platform, *model, service);
-  return solver.predicted_service(load, alpha);
+  return rounds * solve(load / rounds, alpha).makespan;
 }
 
 ServicePlan::ServicePlan(InstallmentSolver& solver, const online::Job& job,
@@ -67,29 +41,21 @@ ServicePlan::ServicePlan(InstallmentSolver& solver, const online::Job& job,
                "served load must be in (0, job.load]");
   NLDL_REQUIRE(restart_fraction_ >= 0.0,
                "restart load fraction must be >= 0");
-  const auto clean = solver_.solve(
-      served_load_ / static_cast<double>(rounds_), alpha_);
-  clean_ = clean.duration;
-  clean_busy_ = clean.busy;
+  clean_ = solver_.solve(served_load_ / static_cast<double>(rounds_),
+                         alpha_);
 }
 
 void ServicePlan::ensure_restart_solved() {
   if (restart_solved_) return;
   restart_solved_ = true;
-  if (restart_fraction_ == 0.0) {
-    // Free checkpoints: a resumed installment IS a clean installment, so
-    // a paused-and-resumed plan reproduces the uninterrupted timeline
-    // exactly (the pinned zero-restart-cost equivalence).
-    restart_ = clean_;
-    restart_busy_ = clean_busy_;
-    return;
-  }
-  const auto restart = solver_.solve(
-      (1.0 + restart_fraction_) * served_load_ /
-          static_cast<double>(rounds_),
-      alpha_);
-  restart_ = restart.duration;
-  restart_busy_ = restart.busy;
+  // Free checkpoints: a resumed installment IS a clean installment, so
+  // a paused-and-resumed plan reproduces the uninterrupted timeline
+  // exactly (the pinned zero-restart-cost equivalence).
+  restart_ = restart_fraction_ == 0.0
+                 ? clean_
+                 : solver_.solve((1.0 + restart_fraction_) * served_load_ /
+                                     static_cast<double>(rounds_),
+                                 alpha_);
 }
 
 double ServicePlan::remaining_load() const noexcept {
@@ -100,9 +66,9 @@ double ServicePlan::remaining_load() const noexcept {
 
 double ServicePlan::next_duration() {
   NLDL_REQUIRE(!done(), "next_duration() on a finished plan");
-  if (!restart_pending_) return clean_;
+  if (!restart_pending_) return clean_.makespan;
   ensure_restart_solved();
-  return restart_;
+  return restart_.makespan;
 }
 
 double ServicePlan::next_load() const {
@@ -116,10 +82,10 @@ double ServicePlan::next_load() const {
 double ServicePlan::remaining_duration() {
   if (done()) return 0.0;
   double total =
-      static_cast<double>(rounds_ - completed_rounds_) * clean_;
+      static_cast<double>(rounds_ - completed_rounds_) * clean_.makespan;
   if (restart_pending_) {
     ensure_restart_solved();
-    total += restart_ - clean_;
+    total += restart_.makespan - clean_.makespan;
   }
   return total;
 }
@@ -128,11 +94,11 @@ void ServicePlan::advance() {
   NLDL_REQUIRE(!done(), "advance() on a finished plan");
   if (restart_pending_) {
     ensure_restart_solved();
-    restart_time_ += restart_ - clean_;
-    compute_time_ += restart_busy_;
+    restart_time_ += restart_.makespan - clean_.makespan;
+    compute_time_ += restart_.busy;
     restart_pending_ = false;
   } else {
-    compute_time_ += clean_busy_;
+    compute_time_ += clean_.busy;
   }
   ++completed_rounds_;
 }

@@ -30,10 +30,9 @@
 
 #include <cstddef>
 #include <limits>
-#include <map>
 #include <memory>
-#include <utility>
 
+#include "dlt/allocation_cache.hpp"
 #include "online/job.hpp"
 #include "platform/platform.hpp"
 #include "sim/comm_model.hpp"
@@ -65,51 +64,44 @@ struct ServiceModel {
 [[nodiscard]] std::unique_ptr<sim::CommModel> make_model(
     const ServiceModel& service);
 
-/// Memoized installment solver: ONE nonlinear solve + engine replay per
-/// distinct (installment load, alpha) under a fixed (platform, model,
-/// service). Deadline assignment, admission, and plan construction all
-/// need the same installment — sharing one solver (the Server owns one)
-/// collapses those three solver runs per job into one. Results are
-/// bit-identical to unmemoized calls (the memo only deduplicates).
-/// Holds references to the platform and model, which must outlive it;
-/// not safe for concurrent use.
+/// Installment solver: the optimal nonlinear allocation and engine
+/// replay of one installment under a fixed (platform, model, service),
+/// answered through one dlt::AllocationCache bound to the model.
+/// Deadline assignment, admission, plan construction and (under
+/// concurrency > 1) the qos server's subset schedules all need the same
+/// solves, so sharing one solver per run collapses them into one per
+/// distinct (platform, load, alpha). Results are bit-identical to
+/// unmemoized solves (the memo only deduplicates). Holds references to
+/// the platform and model, which must outlive it; not safe for
+/// concurrent use.
 class InstallmentSolver {
  public:
   InstallmentSolver(const platform::Platform& platform,
                     const sim::CommModel& model, ServiceModel service);
 
-  struct Installment {
-    double duration = 0.0;  ///< simulated makespan of the installment
-    double busy = 0.0;      ///< Σ compute busy time across workers
-  };
-
-  /// Solve + replay one installment of `load` units (memoized).
-  [[nodiscard]] Installment solve(double load, double alpha);
+  /// Solve + replay one installment of `load` units on the platform:
+  /// its simulated makespan and Σ compute busy time across workers.
+  [[nodiscard]] dlt::AllocationCache::Replay solve(double load,
+                                                   double alpha);
 
   /// Predicted uninterrupted service of a whole job: rounds ×
-  /// solve(load / rounds).duration — the admission controller's SLO
+  /// solve(load / rounds).makespan — the admission controller's SLO
   /// yardstick and ServicePlan::total_duration(), equal by construction.
   [[nodiscard]] double predicted_service(double load, double alpha);
 
-  [[nodiscard]] const platform::Platform& platform() const noexcept {
-    return platform_;
-  }
+  /// The memo behind solve(), for solves on other platforms (the qos
+  /// server's worker subsets) under the same model.
+  [[nodiscard]] dlt::AllocationCache& cache() noexcept { return cache_; }
+
   [[nodiscard]] const ServiceModel& service() const noexcept {
     return service_;
   }
 
  private:
   const platform::Platform& platform_;
-  const sim::CommModel& model_;
   ServiceModel service_;
-  std::map<std::pair<double, double>, Installment> cache_;
+  dlt::AllocationCache cache_;
 };
-
-/// Convenience: predicted service through a throwaway model + solver.
-/// Prefer an InstallmentSolver when predicting more than once.
-[[nodiscard]] double predicted_service(const ServiceModel& service,
-                                       const platform::Platform& platform,
-                                       double load, double alpha);
 
 /// The per-job service state machine the qos server drives.
 ///
@@ -138,10 +130,12 @@ class ServicePlan {
   [[nodiscard]] double remaining_load() const noexcept;
 
   /// Duration of one uninterrupted installment (tests/diagnostics).
-  [[nodiscard]] double clean_duration() const noexcept { return clean_; }
+  [[nodiscard]] double clean_duration() const noexcept {
+    return clean_.makespan;
+  }
   /// Predicted uninterrupted total: rounds × clean_duration.
   [[nodiscard]] double total_duration() const noexcept {
-    return static_cast<double>(rounds_) * clean_;
+    return static_cast<double>(rounds_) * clean_.makespan;
   }
   /// Wall time the next installment will take (restart-inflated when a
   /// pause is pending). Requires !done().
@@ -193,10 +187,8 @@ class ServicePlan {
   std::size_t rounds_;
   double restart_fraction_;
 
-  double clean_ = 0.0;          ///< uninterrupted installment duration
-  double clean_busy_ = 0.0;     ///< its Σ compute busy time
-  double restart_ = 0.0;        ///< inflated installment duration
-  double restart_busy_ = 0.0;
+  dlt::AllocationCache::Replay clean_;    ///< uninterrupted installment
+  dlt::AllocationCache::Replay restart_;  ///< restart-inflated installment
   bool restart_solved_ = false;
 
   std::size_t completed_rounds_ = 0;

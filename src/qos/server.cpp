@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <memory>
-#include <utility>
 
-#include "dlt/nonlinear_dlt.hpp"
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 #include "sim/multiplex.hpp"
@@ -50,9 +47,7 @@ void emit_verdict(obs::TraceSink* sink, const online::Job& job,
 Server::Server(const platform::Platform& platform, ServerOptions options)
     : platform_(platform),
       options_(options),
-      model_(make_model(options.service)),
-      solver_(platform, *model_, options.service),
-      admission_(solver_, options.admission) {
+      model_(make_model(options.service)) {
   NLDL_REQUIRE(options.concurrency >= 1,
                "qos server concurrency must be >= 1");
 }
@@ -92,10 +87,15 @@ std::vector<JobRecord> Server::run(const std::vector<online::Job>& jobs,
       (void)metrics->counter("replay.busy_periods");
     }
   }
+  // One run-local solver backs admission, every ServicePlan, and the
+  // concurrent loop's subset schedules.
+  InstallmentSolver solver(platform_, *model_, options_.service);
+  const AdmissionController admission(solver, options_.admission);
   if (concurrency > 1) {
-    run_concurrent(jobs, policy, records, concurrency, metrics);
+    run_concurrent(jobs, policy, records, concurrency, solver, admission,
+                   metrics);
   } else {
-    run_serial(jobs, policy, records);
+    run_serial(jobs, policy, records, solver, admission);
   }
 
   // Whole-job spans, deadline misses, and outcome metrics — mode
@@ -131,7 +131,9 @@ void Server::admit_until(double t, const std::vector<online::Job>& jobs,
                          std::size_t& next_arrival,
                          std::vector<JobRecord>& records,
                          std::vector<std::unique_ptr<ServicePlan>>& plans,
-                         std::vector<std::size_t>& ready) const {
+                         std::vector<std::size_t>& ready,
+                         InstallmentSolver& solver,
+                         const AdmissionController& admission) const {
   obs::TraceSink* const trace = options_.trace;
   while (next_arrival < jobs.size() && jobs[next_arrival].arrival <= t) {
     const online::Job& job = jobs[next_arrival];
@@ -142,7 +144,7 @@ void Server::admit_until(double t, const std::vector<online::Job>& jobs,
       emit(trace, obs::EventKind::kArrival, job.arrival, job.arrival, job,
            job.load, static_cast<double>(ready.size()));
     }
-    const AdmissionDecision decision = admission_.decide(job);
+    const AdmissionDecision decision = admission.decide(job);
     record.admitted = decision.admitted;
     record.degraded = decision.degraded;
     record.served_load = decision.served_load;
@@ -150,7 +152,7 @@ void Server::admit_until(double t, const std::vector<online::Job>& jobs,
     if (trace != nullptr) emit_verdict(trace, job, decision);
     if (decision.admitted) {
       plans[job.id] =
-          std::make_unique<ServicePlan>(solver_, job, decision.served_load);
+          std::make_unique<ServicePlan>(solver, job, decision.served_load);
       ready.push_back(job.id);
     } else {
       record.finish = job.arrival;  // turned away on the spot
@@ -160,7 +162,9 @@ void Server::admit_until(double t, const std::vector<online::Job>& jobs,
 }
 
 void Server::run_serial(const std::vector<online::Job>& jobs, Policy& policy,
-                        std::vector<JobRecord>& records) const {
+                        std::vector<JobRecord>& records,
+                        InstallmentSolver& solver,
+                        const AdmissionController& admission) const {
   obs::TraceSink* const trace = options_.trace;
   std::vector<std::unique_ptr<ServicePlan>> plans(jobs.size());
   std::vector<std::size_t> ready;  // admitted unfinished job ids, ascending
@@ -170,7 +174,8 @@ void Server::run_serial(const std::vector<online::Job>& jobs, Policy& policy,
 
   std::vector<Candidate> candidates;
   while (true) {
-    admit_until(now, jobs, next_arrival, records, plans, ready);
+    admit_until(now, jobs, next_arrival, records, plans, ready, solver,
+                admission);
     if (ready.empty()) {
       if (next_arrival >= jobs.size()) break;  // drained
       now = std::max(now, jobs[next_arrival].arrival);
@@ -236,7 +241,8 @@ void Server::run_serial(const std::vector<online::Job>& jobs, Policy& policy,
       plans[id].reset();
     }
     // Arrivals during the installment become visible at this boundary.
-    admit_until(now, jobs, next_arrival, records, plans, ready);
+    admit_until(now, jobs, next_arrival, records, plans, ready, solver,
+                admission);
   }
 
   NLDL_ASSERT(ready.empty() && next_arrival == jobs.size(),
@@ -246,33 +252,14 @@ void Server::run_serial(const std::vector<online::Job>& jobs, Policy& policy,
 void Server::run_concurrent(const std::vector<online::Job>& jobs,
                             Policy& policy, std::vector<JobRecord>& records,
                             std::size_t concurrency,
+                            InstallmentSolver& solver,
+                            const AdmissionController& admission,
                             obs::MetricsRegistry* metrics) const {
   obs::TraceSink* const trace = options_.trace;
   // Carve the platform into `concurrency` disjoint interleaved subsets
   // (worker i serves subset i mod k, like the online server's slots).
   const platform::Platform::Partition carve =
       platform_.interleaved_partition(concurrency);
-  const std::vector<platform::Platform>& subsets = carve.subsets;
-  const std::vector<std::vector<std::size_t>>& subset_workers =
-      carve.workers;
-
-  // Subset installment allocations, memoized per (subset, load, alpha):
-  // a job's clean installment repeats every round, so each distinct
-  // inflated/clean load solves once per subset it lands on.
-  std::map<std::tuple<std::size_t, double, double>,
-           std::vector<sim::ChunkAssignment>>
-      allocation_cache;
-  const auto subset_schedule = [&](std::size_t s, double load,
-                                   double alpha)
-      -> const std::vector<sim::ChunkAssignment>& {
-    const auto key = std::make_tuple(s, load, alpha);
-    const auto it = allocation_cache.find(key);
-    if (it != allocation_cache.end()) return it->second;
-    const auto allocation = dlt::nonlinear_single_round_for(
-        options_.service.comm, subsets[s], load, alpha);
-    return allocation_cache.emplace(key, allocation.to_schedule())
-        .first->second;
-  };
 
   std::vector<std::unique_ptr<ServicePlan>> plans(jobs.size());
   std::vector<std::size_t> ready;  // admitted, not done, not running
@@ -322,7 +309,8 @@ void Server::run_concurrent(const std::vector<online::Job>& jobs,
 
   std::vector<Candidate> candidates;
   while (true) {
-    admit_until(now, jobs, next_arrival, records, plans, ready);
+    admit_until(now, jobs, next_arrival, records, plans, ready, solver,
+                admission);
 
     // Free subsets whose installment has completed; unfinished jobs
     // return to the ready set (ascending id keeps picks deterministic).
@@ -402,8 +390,10 @@ void Server::run_concurrent(const std::vector<online::Job>& jobs,
 
       subset_owner[s] = period.dispatch(
           now, records[id].job.alpha,
-          subset_schedule(s, load, records[id].job.alpha),
-          subset_workers[s], records[id].job.id, records[id].job.tenant);
+          solver.cache()
+              .allocation(carve.subsets[s], load, records[id].job.alpha)
+              .to_schedule(),
+          carve.workers[s], records[id].job.id, records[id].job.tenant);
       installments.push_back({id, now, load});
       NLDL_ASSERT(subset_owner[s] + 1 == installments.size(),
                   "period owners and installments fell out of step");

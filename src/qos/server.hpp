@@ -156,28 +156,29 @@ class Server {
  private:
   /// Admit every job of `jobs` from `next_arrival` on that has arrived by
   /// `t`: record its admission verdict and, when admitted, open its
-  /// ServicePlan and append it to `ready`. Shared by both event loops.
+  /// ServicePlan on `solver` and append it to `ready`. Shared by both
+  /// event loops.
   void admit_until(double t, const std::vector<online::Job>& jobs,
                    std::size_t& next_arrival, std::vector<JobRecord>& records,
                    std::vector<std::unique_ptr<ServicePlan>>& plans,
-                   std::vector<std::size_t>& ready) const;
+                   std::vector<std::size_t>& ready, InstallmentSolver& solver,
+                   const AdmissionController& admission) const;
   /// The serial (concurrency == 1) and concurrent (k subsets, shared
   /// master) event loops behind run(); both fill `records` in place.
+  /// `solver` is the run's one solver: admission, every ServicePlan and
+  /// the concurrent loop's subset schedules share its memo.
   void run_serial(const std::vector<online::Job>& jobs, Policy& policy,
-                  std::vector<JobRecord>& records) const;
+                  std::vector<JobRecord>& records, InstallmentSolver& solver,
+                  const AdmissionController& admission) const;
   void run_concurrent(const std::vector<online::Job>& jobs, Policy& policy,
                       std::vector<JobRecord>& records,
-                      std::size_t concurrency,
+                      std::size_t concurrency, InstallmentSolver& solver,
+                      const AdmissionController& admission,
                       obs::MetricsRegistry* metrics) const;
 
   const platform::Platform& platform_;
   ServerOptions options_;
   std::unique_ptr<sim::CommModel> model_;
-  /// Shared by admission and every ServicePlan: one nonlinear solve per
-  /// distinct installment per server lifetime. mutable because run() is
-  /// const but the memo grows.
-  mutable InstallmentSolver solver_;
-  AdmissionController admission_;
 };
 
 }  // namespace nldl::qos

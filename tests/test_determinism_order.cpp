@@ -1,7 +1,8 @@
 // Insertion-order-independence pins for the three audited container
 // sites of the nldl-lint unordered-container sweep (ISSUE 7): the
-// mapreduce block caches (cluster_sim, speculation) and the online
-// PredictionCache. All three were std::unordered_* and are now ordered;
+// mapreduce block caches (cluster_sim, speculation) and the allocation
+// memo (dlt::AllocationCache, which replaced the online prediction
+// cache). All three were std::unordered_* and are now ordered;
 // these tests permute the order in which elements ENTER each container
 // and assert bitwise-identical outcomes, so a future reintroduction of
 // order-sensitive iteration fails here before it reaches a bench.
@@ -10,10 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include "dlt/allocation_cache.hpp"
 #include "mapreduce/cluster_sim.hpp"
 #include "mapreduce/speculation.hpp"
-#include "online/scheduler.hpp"
+#include "online/job.hpp"
 #include "platform/platform.hpp"
+#include "sim/comm_model.hpp"
 
 namespace {
 
@@ -80,7 +83,7 @@ TEST(DeterminismOrder, SpeculationCacheIgnoresInsertionOrder) {
   }
 }
 
-TEST(DeterminismOrder, PredictionCacheIgnoresInsertionOrder) {
+TEST(DeterminismOrder, AllocationCacheIgnoresInsertionOrder) {
   const auto plat = nldl::platform::Platform::homogeneous(4, 1.0, 2.0);
   std::vector<nldl::online::Job> jobs;
   for (std::size_t i = 0; i < 12; ++i) {
@@ -94,22 +97,23 @@ TEST(DeterminismOrder, PredictionCacheIgnoresInsertionOrder) {
   // Fill one cache front-to-back and one back-to-front, then query both
   // in a third order: every prediction must be bit-identical (and served
   // from the memo — no re-solve may sneak in a different code path).
-  nldl::online::PredictionCache forward;
-  nldl::online::PredictionCache backward;
-  for (const auto& job : jobs) {
-    (void)forward.predict(job, plat, nldl::sim::CommModelKind::kOnePort);
-  }
+  const nldl::sim::OnePortModel model;
+  nldl::dlt::AllocationCache forward(model);
+  nldl::dlt::AllocationCache backward(model);
+  const auto predict = [&plat](nldl::dlt::AllocationCache& cache,
+                               const nldl::online::Job& job) {
+    return cache.allocation(plat, job.load, job.alpha).makespan;
+  };
+  for (const auto& job : jobs) (void)predict(forward, job);
   for (auto it = jobs.rbegin(); it != jobs.rend(); ++it) {
-    (void)backward.predict(*it, plat, nldl::sim::CommModelKind::kOnePort);
+    (void)predict(backward, *it);
   }
   ASSERT_EQ(forward.size(), backward.size());
   const std::size_t forward_misses = forward.misses();
   const std::size_t backward_misses = backward.misses();
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const auto& job = jobs[(i * 5) % jobs.size()];  // scrambled query order
-    EXPECT_EQ(forward.predict(job, plat, nldl::sim::CommModelKind::kOnePort),
-              backward.predict(job, plat,
-                               nldl::sim::CommModelKind::kOnePort))
+    EXPECT_EQ(predict(forward, job), predict(backward, job))
         << "prediction for job " << job.id
         << " depends on cache insertion order";
   }

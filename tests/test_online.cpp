@@ -517,86 +517,9 @@ TEST(Metrics, AllDegenerateSlowdownsReportZeroNotEmptyEstimators) {
   }
 }
 
-// --- PredictionCache --------------------------------------------------------
+// --- SPMF prediction memo -------------------------------------------------
 
-TEST(PredictionCache, MemoizesPerJobId) {
-  const auto plat = platform::Platform::homogeneous(4);
-  PredictionCache cache;
-  const Job job{7, 0.0, 100.0, 2.0};
-  const double first = cache.predict(job, plat, sim::CommModelKind::kParallelLinks);
-  const double second = cache.predict(job, plat, sim::CommModelKind::kParallelLinks);
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(first, predicted_makespan(job, plat));
-}
-
-TEST(PredictionCache, CommModelChangeReSolvesTheSameJobId) {
-  // The satellite case: the same job id re-ranked after a comm-model
-  // change must get the matched prediction, not the stale one.
-  const auto plat = platform::Platform::from_speeds({1, 1, 1, 1}, 0.7);
-  PredictionCache cache;
-  const Job job{3, 0.0, 400.0, 1.0};
-  const double parallel =
-      cache.predict(job, plat, sim::CommModelKind::kParallelLinks);
-  const double one_port =
-      cache.predict(job, plat, sim::CommModelKind::kOnePort);
-  EXPECT_EQ(cache.misses(), 2u);  // the comm change evicted the entry
-  EXPECT_NE(parallel, one_port);
-  EXPECT_EQ(one_port,
-            predicted_makespan(job, plat, sim::CommModelKind::kOnePort));
-  // And flipping back re-solves again (the entry was overwritten).
-  EXPECT_EQ(cache.predict(job, plat, sim::CommModelKind::kParallelLinks),
-            parallel);
-  EXPECT_EQ(cache.misses(), 3u);
-}
-
-TEST(PredictionCache, ReusedJobIdWithNewShapeReSolves) {
-  const auto plat = platform::Platform::homogeneous(4);
-  PredictionCache cache;
-  const Job original{0, 0.0, 100.0, 1.0};
-  const Job reused{0, 0.0, 60.0, 2.0};  // same id, different job
-  const double first = cache.predict(original, plat,
-                                     sim::CommModelKind::kParallelLinks);
-  const double second =
-      cache.predict(reused, plat, sim::CommModelKind::kParallelLinks);
-  EXPECT_NE(first, second);
-  EXPECT_EQ(second, predicted_makespan(reused, plat));
-  EXPECT_EQ(cache.misses(), 2u);
-}
-
-TEST(PredictionCache, AggregateTyingPlatformsDoNotCollide) {
-  // Same worker count, same Σ speed, same Σ c — only the per-worker
-  // values differ. The fingerprint must still tell them apart (it
-  // digests exact per-worker bits, not aggregate sums).
-  const auto het = platform::Platform::from_speeds({1.0, 3.0});
-  const auto hom = platform::Platform::from_speeds({2.0, 2.0});
-  PredictionCache cache;
-  const Job job{0, 0.0, 100.0, 2.0};
-  const double on_het =
-      cache.predict(job, het, sim::CommModelKind::kParallelLinks);
-  const double on_hom =
-      cache.predict(job, hom, sim::CommModelKind::kParallelLinks);
-  EXPECT_EQ(cache.misses(), 2u);  // the switch evicted and re-solved
-  EXPECT_EQ(on_hom, predicted_makespan(job, hom));
-  EXPECT_NE(on_het, on_hom);
-}
-
-TEST(PredictionCache, PlatformChangeEvictsEverything) {
-  const auto big = platform::Platform::homogeneous(8);
-  const auto small = platform::Platform::homogeneous(2);
-  PredictionCache cache;
-  const Job job{0, 0.0, 100.0, 2.0};
-  const double on_big =
-      cache.predict(job, big, sim::CommModelKind::kParallelLinks);
-  const double on_small =
-      cache.predict(job, small, sim::CommModelKind::kParallelLinks);
-  EXPECT_LT(on_big, on_small);  // more workers, shorter round
-  EXPECT_EQ(cache.size(), 1u);  // the big-platform entry was evicted
-  EXPECT_EQ(cache.misses(), 2u);
-}
-
-TEST(PredictionCache, SpmfSchedulerExposesItsCache) {
+TEST(SpmfScheduler, ExposesItsAllocationCache) {
   const auto plat = platform::Platform::homogeneous(4);
   const SpmfScheduler spmf;
   const auto jobs =

@@ -64,8 +64,10 @@ TEST(ServicePlan, UninterruptedServiceIsRoundsTimesCleanDuration) {
   // T = c·5 + w·5 = 10.
   EXPECT_NEAR(plan.clean_duration(), 10.0, 1e-6);
   EXPECT_DOUBLE_EQ(plan.total_duration(), 4.0 * plan.clean_duration());
+  // A fresh solver (no shared memo) predicts the same total.
+  InstallmentSolver fresh(plat, *model, service);
   EXPECT_DOUBLE_EQ(plan.total_duration(),
-                   predicted_service(service, plat, job.load, job.alpha));
+                   fresh.predicted_service(job.load, job.alpha));
 
   double served = 0.0;
   while (!plan.done()) {
@@ -186,7 +188,7 @@ TEST(ServicePlan, ValidatesItsInputs) {
   InstallmentSolver solver(plat, *model, make_service(2, 0.0));
   EXPECT_THROW(ServicePlan(solver, job, 0.0), util::PreconditionError);
   EXPECT_THROW(ServicePlan(solver, job, 20.0), util::PreconditionError);
-  EXPECT_THROW((void)predicted_service(make_service(2, 0.0), plat, -1.0, 1.0),
+  EXPECT_THROW((void)solver.predicted_service(-1.0, 1.0),
                util::PreconditionError);
 }
 
@@ -194,7 +196,10 @@ TEST(ServicePlan, ValidatesItsInputs) {
 
 TEST(Admission, BestEffortJobsAreAlwaysAdmittedWhole) {
   const auto plat = platform::Platform::homogeneous(4);
-  const AdmissionController admission(plat, make_service(2, 0.0));
+  const ServiceModel service = make_service(2, 0.0);
+  const auto model = make_model(service);
+  InstallmentSolver solver(plat, *model, service);
+  const AdmissionController admission(solver);
   const AdmissionDecision decision =
       admission.decide(make_job(0, 0.0, 80.0, 1.0));
   EXPECT_TRUE(decision.admitted);
@@ -211,12 +216,14 @@ TEST(Admission, RejectsProvablyInfeasibleDeadlines) {
   const online::Job infeasible = make_job(0, 10.0, 80.0, 1.0, 40.0);
   const online::Job feasible = make_job(1, 10.0, 80.0, 1.0, 60.0);
 
-  const AdmissionController reject(plat, service,
+  const auto model = make_model(service);
+  InstallmentSolver solver(plat, *model, service);
+  const AdmissionController reject(solver,
                                    {AdmissionMode::kReject, 0.25, 32});
   EXPECT_FALSE(reject.decide(infeasible).admitted);
   EXPECT_TRUE(reject.decide(feasible).admitted);
 
-  const AdmissionController admit_all(plat, service,
+  const AdmissionController admit_all(solver,
                                       {AdmissionMode::kAdmitAll, 0.25, 32});
   EXPECT_TRUE(admit_all.decide(infeasible).admitted);
 }
@@ -224,7 +231,9 @@ TEST(Admission, RejectsProvablyInfeasibleDeadlines) {
 TEST(Admission, DegradeShrinksTheLoadToTheSlack) {
   const auto plat = platform::Platform::homogeneous(4);
   const ServiceModel service = make_service(2, 0.0);
-  const AdmissionController degrade(plat, service,
+  const auto model = make_model(service);
+  InstallmentSolver solver(plat, *model, service);
+  const AdmissionController degrade(solver,
                                     {AdmissionMode::kDegrade, 0.25, 40});
   // Slack 30 fits 3/4 of the load (service is linear in load here:
   // T(f·80) = 40f <= 30 -> f = 0.75).
@@ -592,6 +601,8 @@ TEST(Server, WfqProtectsTheLightTenantsGoodput) {
 TEST(TenantTraffic, GeneratesTaggedSortedDeadlinedStreams) {
   const auto plat = platform::Platform::homogeneous(4);
   const ServiceModel service = make_service(2, 0.0);
+  const auto model = make_model(service);
+  InstallmentSolver fresh(plat, *model, service);  // not the stream's solver
 
   std::vector<TenantSpec> tenants(2);
   tenants[0].name = "batch";
@@ -628,9 +639,8 @@ TEST(TenantTraffic, GeneratesTaggedSortedDeadlinedStreams) {
       // Deadline = arrival + slack x predicted service, bit for bit.
       EXPECT_DOUBLE_EQ(jobs[i].deadline,
                        jobs[i].arrival +
-                           3.0 * predicted_service(service, plat,
-                                                   jobs[i].load,
-                                                   jobs[i].alpha));
+                           3.0 * fresh.predicted_service(jobs[i].load,
+                                                         jobs[i].alpha));
     }
   }
   EXPECT_TRUE(saw_both);

@@ -17,10 +17,11 @@
 //       Validate MetricsRegistry JSON dumps (numbers or well-formed
 //       quantile objects). Exit 0 iff every file validates.
 //
-//   nldl_trace_check --bench-diff <a.json> <b.json>
-//       Compare the "deterministic" payloads of two bench JSON
+//   nldl_trace_check --bench-diff <a.json> <b.json> [<a.json> <b.json> ...]
+//       Compare the "deterministic" payloads of each pair of bench JSON
 //       artifacts; the "measured" sidecars (wall times, RSS, profiles)
-//       are ignored by design. Exit 0 iff the payloads are identical.
+//       are ignored by design. Exit 0 iff every pair is identical (a
+//       missing file is a mismatch).
 #include <algorithm>
 #include <charconv>
 #include <cmath>
@@ -225,7 +226,8 @@ int usage() {
       "usage: nldl_trace_check <trace.json> [more.json ...]\n"
       "       nldl_trace_check --summary <trace.json> [--top N] [--slo OBJ]\n"
       "       nldl_trace_check --metrics <metrics.json> [more.json ...]\n"
-      "       nldl_trace_check --bench-diff <a.json> <b.json>\n");
+      "       nldl_trace_check --bench-diff <a.json> <b.json> "
+      "[<a.json> <b.json> ...]\n");
   return 2;
 }
 
@@ -234,8 +236,12 @@ int usage() {
 int main(int argc, char** argv) {
   std::vector<std::string> args(argv + 1, argv + argc);
   if (!args.empty() && args[0] == "--bench-diff") {
-    if (args.size() != 3) return usage();
-    return bench_diff(args[1], args[2]);
+    if (args.size() < 3 || args.size() % 2 == 0) return usage();
+    int status = 0;
+    for (std::size_t i = 1; i < args.size(); i += 2) {
+      if (bench_diff(args[i], args[i + 1]) != 0) status = 1;
+    }
+    return status;
   }
   if (!args.empty() && args[0] == "--metrics") {
     if (args.size() < 2) return usage();
