@@ -87,6 +87,11 @@ struct AffinityRow {
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
+  if (const auto code = bench::check_flags(
+          args, "Ablation A1: affinity-aware demand-driven scheduling.",
+          {{"seed", "RNG seed"}})) {
+    return *code;
+  }
   const auto seed = static_cast<std::uint64_t>(
       args.get_int("seed", static_cast<long long>(util::Rng::kDefaultSeed)));
 

@@ -89,6 +89,12 @@ TrialRatios evaluate_trial(platform::SpeedModel model, std::size_t p,
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
+  if (const auto code = bench::check_flags(
+          args, "Ablation A2: PERI-SUM column structures vs speed model.",
+          {{"seed", "RNG seed"},
+           {"trials", "trials per (model, p) point (50)"}})) {
+    return *code;
+  }
   const auto seed = static_cast<std::uint64_t>(
       args.get_int("seed", static_cast<long long>(util::Rng::kDefaultSeed)));
   const auto trials = static_cast<std::size_t>(args.get_int("trials", 50));

@@ -35,6 +35,11 @@ struct Row25D {
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
+  if (const auto code = bench::check_flags(
+          args, "Extension: 2.5D matmul communication vs replication.",
+          {{"n", "matrix order N (8192)"}})) {
+    return *code;
+  }
   const double n = args.get_double("n", 8192.0);
 
   bench::Harness harness("ext_matmul25d",

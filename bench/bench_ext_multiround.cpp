@@ -62,6 +62,12 @@ struct MultiRoundResults {
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
+  if (const auto code = bench::check_flags(
+          args, "Extension: multi-installment rounds on one-port stars.",
+          {{"load", "total load per platform (100)"},
+           {"seed", "RNG seed"}})) {
+    return *code;
+  }
   const double load = args.get_double("load", 100.0);
   const auto seed = static_cast<std::uint64_t>(
       args.get_int("seed", static_cast<long long>(util::Rng::kDefaultSeed)));

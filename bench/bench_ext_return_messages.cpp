@@ -49,6 +49,12 @@ std::vector<std::pair<std::string, platform::Platform>> build_platforms(
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
+  if (const auto code = bench::check_flags(
+          args, "Extension: divisible loads with return messages.",
+          {{"load", "total load per platform (100)"},
+           {"seed", "RNG seed"}})) {
+    return *code;
+  }
   const auto seed = static_cast<std::uint64_t>(
       args.get_int("seed", static_cast<long long>(util::Rng::kDefaultSeed)));
   const double load = args.get_double("load", 100.0);

@@ -51,6 +51,11 @@ std::vector<Workload> build_workloads() {
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
+  if (const auto code = bench::check_flags(
+          args, "Extension: straggler injection and backup tasks.",
+          {})) {
+    return *code;
+  }
 
   bench::Harness harness("ext_speculation",
                          bench::harness_options_from_args(args));

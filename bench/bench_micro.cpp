@@ -224,6 +224,11 @@ MicroResult run_kernel(const KernelCase& kernel, std::size_t reps) {
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
+  if (const auto code = bench::check_flags(
+          args, "Microbenchmarks of the core kernels.",
+          {{"micro-reps", "timed runs per kernel, best reported (3)"}})) {
+    return *code;
+  }
   const auto micro_reps =
       static_cast<std::size_t>(args.get_int("micro-reps", 3));
 

@@ -216,6 +216,12 @@ void print_tables(const Sec2Results& results, double total_load) {
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
+  if (const auto code = bench::check_flags(
+          args, "Section 2: remaining work after one nonlinear DLT round.",
+          {{"n", "total load N (10000)"},
+           {"seed", "RNG seed"}})) {
+    return *code;
+  }
   const double total_load = args.get_double("n", 10000.0);
   const auto seed = static_cast<std::uint64_t>(
       args.get_int("seed", static_cast<long long>(util::Rng::kDefaultSeed)));

@@ -358,6 +358,11 @@ void print_tables(
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
+  if (const auto code = bench::check_flags(
+          args, "Section 3: sample sort as an almost linear divisible load.",
+          {{"seed", "RNG seed"}})) {
+    return *code;
+  }
   const auto seed = static_cast<std::uint64_t>(
       args.get_int("seed", static_cast<long long>(util::Rng::kDefaultSeed)));
 

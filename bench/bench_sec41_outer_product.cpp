@@ -237,6 +237,11 @@ void print_tables(const Sec41Results& results) {
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
+  if (const auto code = bench::check_flags(
+          args, "Section 4.1: outer-product data distribution.",
+          {{"seed", "RNG seed"}})) {
+    return *code;
+  }
   const auto seed = static_cast<std::uint64_t>(
       args.get_int("seed", static_cast<long long>(util::Rng::kDefaultSeed)));
 

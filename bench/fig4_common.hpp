@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "bench/harness.hpp"
 #include "core/experiments.hpp"
@@ -48,6 +49,16 @@ inline int run_fig4_panel(const char* figure, const char* panel,
                           platform::SpeedModel model,
                           const char* expectation, int argc, char** argv) {
   const util::Args args(argc, argv);
+  const std::string summary = std::string("Figure ") + figure +
+                              ": communication volume vs the lower bound.";
+  if (const auto code = check_flags(
+          args, summary.c_str(),
+          {{"trials", "trials per p (100)"},
+           {"seed", "RNG seed"},
+           {"csv", "also write the table to this CSV path"},
+           {"target", "imbalance target of Comm_hom/k (0.01)"}})) {
+    return *code;
+  }
   core::Fig4Config config;
   config.model = model;
   config.trials = static_cast<std::size_t>(args.get_int("trials", 100));

@@ -27,12 +27,10 @@ struct NonlinearAllocation {
   double makespan = 0.0;        ///< common finish time T
   double alpha = 1.0;
 
-  /// Convert to an engine schedule (one chunk per worker, in the given
-  /// send order; defaults to worker order). Replaying it with
-  /// sim::Engine{platform, {alpha}} reproduces `makespan`.
+  /// Convert to an engine schedule (one chunk per worker, in worker
+  /// order). Replaying it with sim::Engine{platform, {alpha}} reproduces
+  /// `makespan`.
   [[nodiscard]] std::vector<sim::ChunkAssignment> to_schedule() const;
-  [[nodiscard]] std::vector<sim::ChunkAssignment> to_schedule(
-      const std::vector<std::size_t>& send_order) const;
 
   /// Work performed by the round, in unit-speed time: Σ n_i^alpha.
   double work_done = 0.0;
@@ -44,33 +42,21 @@ struct NonlinearAllocation {
   int solver_iterations = 0;  ///< outer bisection iterations
 };
 
-struct NonlinearOptions {
-  double tolerance = 1e-10;   ///< relative tolerance on the load balance
-  int max_iterations = 200;
-};
-
 /// Optimal single-round allocation under the parallel-links model:
 ///   c_i·n_i + w_i·n_i^alpha = T for all i,  Σ n_i = total_load.
 /// Solved by nested bisection (outer on T, inner on each n_i(T)).
 /// Requires alpha >= 1; with alpha == 1 this matches the linear closed form.
 [[nodiscard]] NonlinearAllocation nonlinear_parallel_single_round(
-    const platform::Platform& platform, double total_load, double alpha,
-    const NonlinearOptions& options = {});
+    const platform::Platform& platform, double total_load, double alpha);
 
-/// Optimal single-round allocation under the one-port model for a given
-/// send order: worker fed at time τ_i = Σ_{j before i} c_j·n_j satisfies
+/// Optimal single-round allocation under the one-port model. The master
+/// feeds workers in platform order 0..p-1, so worker i starts receiving
+/// at τ_i = Σ_{j<i} c_j·n_j and satisfies
 ///   τ_i + c_i·n_i + w_i·n_i^alpha = T.
 /// This is the setting of the nonlinear-DLT literature ([31–35]); workers
 /// that cannot receive anything before T contribute n_i = 0.
 [[nodiscard]] NonlinearAllocation nonlinear_one_port_single_round(
-    const platform::Platform& platform, double total_load, double alpha,
-    const std::vector<std::size_t>& send_order,
-    const NonlinearOptions& options = {});
-
-/// Same, feeding workers in platform order 0..p-1.
-[[nodiscard]] NonlinearAllocation nonlinear_one_port_single_round(
-    const platform::Platform& platform, double total_load, double alpha,
-    const NonlinearOptions& options = {});
+    const platform::Platform& platform, double total_load, double alpha);
 
 /// The optimal single-round allocation MATCHED to a communication model
 /// kind: the one-port optimality conditions under kOnePort (the master
@@ -81,7 +67,7 @@ struct NonlinearOptions {
 /// solve the same allocation for a given comm kind.
 [[nodiscard]] NonlinearAllocation nonlinear_single_round_for(
     sim::CommModelKind comm, const platform::Platform& platform,
-    double total_load, double alpha, const NonlinearOptions& options = {});
+    double total_load, double alpha);
 
 /// Closed-form makespan of the homogeneous optimum (paper Section 2):
 /// every worker gets N/p, finishing at (N/p)·c + w·(N/p)^alpha.

@@ -14,8 +14,8 @@
 //     one-port, dlt::nonlinear_parallel_single_round otherwise; every
 //     solve of a run goes through one run-local dlt::AllocationCache),
 //     and the resulting schedule is replayed by sim::Engine under the
-//     configured CommModel — the per-job finish time is timestamped via
-//     the engine's ChunkCompletionHook;
+//     configured CommModel — the per-job finish time is timestamped by
+//     the job's sim::SharedMasterPeriod (see "Master modes" below);
 //   - simultaneous events resolve deterministically: completions first,
 //     then arrivals, then dispatches in ascending slot index. The whole
 //     simulation consumes no RNG, so a run is a pure function of the job

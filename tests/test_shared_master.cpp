@@ -285,12 +285,17 @@ TEST(SharedMasterOnline, PrivatePortSlotsNeverContend) {
                                           record.job.alpha)
               .to_schedule();
       double compute = 0.0;
-      const sim::SimResult solo =
-          sim::Engine(slot, {record.job.alpha})
-              .run(schedule, *model,
-                   [&compute](std::size_t, const sim::ChunkSpan& span) {
-                     compute += span.compute_end - span.compute_start;
-                   });
+      const auto add_compute = [&compute](std::size_t,
+                                          const sim::ChunkSpan& span) {
+        compute += span.compute_end - span.compute_start;
+      };
+      const sim::Engine engine(slot, {record.job.alpha});
+      sim::EngineRun solo_run(engine, *model);
+      for (const sim::ChunkAssignment& chunk : schedule) {
+        (void)solo_run.append(chunk);
+      }
+      solo_run.drain(add_compute);
+      const sim::SimResult solo = solo_run.take_result();
       EXPECT_EQ(record.finish, record.dispatch + solo.makespan)
           << "job " << record.job.id;
       EXPECT_EQ(record.compute_time, compute) << "job " << record.job.id;

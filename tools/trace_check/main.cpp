@@ -212,7 +212,8 @@ int bench_diff(const std::string& path_a, const std::string& path_b) {
                   path_a.c_str(), path_b.c_str());
       return 0;
     }
-    std::fprintf(stderr, "MISMATCH: %s\n", result.error.c_str());
+    std::fprintf(stderr, "MISMATCH: %s != %s: %s\n", path_a.c_str(),
+                 path_b.c_str(), result.error.c_str());
     return 1;
   } catch (const nldl::util::PreconditionError& error) {
     std::fprintf(stderr, "parse error: %s\n", error.what());
