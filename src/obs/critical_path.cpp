@@ -369,11 +369,7 @@ CriticalPath::CriticalPath(const std::vector<TraceEvent>& events,
 
     // ---- close the decomposition bit-exactly ----------------------------
     // Sum the own-span buckets along the path (time order, fixed fl
-    // order), then construct stall as the remainder of the canonical sum
-    // and nudge it by ulps until total() reproduces the observed latency
-    // EXACTLY. fl(base + stall) is monotone in stall and stall's ulp at
-    // the solution is no larger than latency's, so the loop converges in
-    // a handful of steps for any input.
+    // order), then let close_on_latency() construct stall.
     blame.wait = blame.dispatch - blame.arrival;
     blame.comm = 0.0;
     blame.compute = 0.0;
@@ -395,15 +391,7 @@ CriticalPath::CriticalPath(const std::vector<TraceEvent>& events,
       }
     }
     blame.latency = blame.finish - blame.arrival;
-    const double base =
-        ((blame.wait + blame.comm) + blame.compute) + blame.restart;
-    blame.stall = blame.latency - base;
-    for (int step = 0; step < 128 && blame.total() != blame.latency; ++step) {
-      blame.stall = std::nextafter(
-          blame.stall, blame.total() < blame.latency ? kInf : -kInf);
-    }
-    NLDL_ASSERT(blame.total() == blame.latency,
-                "blame components failed to close on the observed latency");
+    close_on_latency(blame);
   }
 
   jobs_.reserve(jobs.size());
@@ -411,6 +399,44 @@ CriticalPath::CriticalPath(const std::vector<TraceEvent>& events,
     if (blame.finish < blame.dispatch) continue;
     jobs_.push_back(std::move(blame));
   }
+}
+
+void close_on_latency(JobBlame& blame) {
+  // fl(base + stall) is monotone in stall, and stall's ulp near the
+  // solution is no larger than latency's, so the walk reaches every
+  // double it can reach in a handful of steps. It misses the latency only
+  // when stall shares latency's binade and base's bits below latency's
+  // ulp are exactly one half: then every exact sum is a tie.
+  const auto base = [&blame] {
+    return ((blame.wait + blame.comm) + blame.compute) + blame.restart;
+  };
+  const auto walk = [&blame, &base] {
+    blame.stall = blame.latency - base();
+    for (int step = 0; step < 128 && blame.total() != blame.latency; ++step) {
+      blame.stall = std::nextafter(
+          blame.stall, blame.total() < blame.latency ? kInf : -kInf);
+    }
+    return blame.total() == blame.latency;
+  };
+  if (walk()) return;
+  // Break the tie by moving base off its value: shift the last non-zero
+  // component added into base by one ulp of base until base changes. The
+  // exact sum moves one ulp of base per shift, so base moves within two
+  // shifts, by one ulp of base (or two, when both sums are ties). Base's
+  // bits below latency's ulp were exactly one half, at least one ulp of
+  // base, so they cannot survive that move: a half at exactly one ulp of
+  // base makes base odd, and an odd base never rounds from a tie.
+  double* last = &blame.wait;
+  for (double* component : {&blame.comm, &blame.compute, &blame.restart}) {
+    if (*component != 0.0) last = component;
+  }
+  const double before = base();
+  for (int shift = 0; shift < 4 && base() == before; ++shift) {  // nldl-lint: allow(double-eq): bitwise test that base has moved
+    *last += std::nextafter(before, kInf) - before;
+  }
+  const bool closed = walk();
+  NLDL_ASSERT(closed,
+              "blame components failed to close on the observed latency");
 }
 
 const JobBlame* CriticalPath::find(std::size_t job) const {

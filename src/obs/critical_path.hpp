@@ -105,6 +105,15 @@ struct JobBlame {
   [[nodiscard]] BlameKind dominant() const noexcept;
 };
 
+/// Set `blame.stall` so that total() equals `blame.latency` bit-exactly,
+/// given the other four components. Stall starts as the remainder
+/// latency − base (base being the first four summed in total()'s order)
+/// and walks by ulps. When every exact sum base + stall lands on a
+/// rounding tie, ties-to-even reaches only half the doubles near the
+/// latency; the walk then fails, the largest of the other four components
+/// moves by one ulp (changing base's low bits), and the walk retries.
+void close_on_latency(JobBlame& blame);
+
 /// Reconstruct every traced job's critical path and blame decomposition.
 /// Jobs are taken from kJob spans (one per served job); rejected jobs
 /// (no kJob span) are skipped. The input stream may be in any order.

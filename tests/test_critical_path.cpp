@@ -4,6 +4,7 @@
 // servers, and both master modes; plus contention stall attribution,
 // queue-depth plumbing from kArrival, the pid-4 flow export, and the
 // Chrome-trace roundtrip under the microsecond tolerance.
+#include <cmath>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "qos/policy.hpp"
 #include "qos/server.hpp"
 #include "util/json_parse.hpp"
+#include "util/rng.hpp"
 
 namespace nldl {
 namespace {
@@ -208,6 +210,61 @@ TEST(Blame, DominantTieBreaksTowardEarlierBucket) {
   EXPECT_EQ(blame.dominant(), obs::BlameKind::kComm);
   blame.stall = 4.0;
   EXPECT_EQ(blame.dominant(), obs::BlameKind::kStall);
+}
+
+// The walk on stall alone cannot close this one: stall and latency share
+// a binade and base's bits below latency's ulp are exactly one half, so
+// every exact sum base + stall is a tie and ties-to-even reaches only
+// even mantissas, which latency's is not.
+TEST(BlameClosure, ClosesWhenEverySumIsATie) {
+  obs::JobBlame blame;
+  blame.wait = 24.000000000000007;
+  blame.comm = 5.701415440852216;
+  blame.compute = 10.835379343062684;
+  blame.latency = 125.25044811830053;
+  const obs::JobBlame before = blame;
+  obs::close_on_latency(blame);
+  EXPECT_EQ(blame.total(), blame.latency);
+  EXPECT_EQ(blame.latency, before.latency);
+  EXPECT_NEAR(blame.compute, before.compute, 1e-13);
+  EXPECT_NEAR(blame.stall,
+              before.latency - (before.wait + before.comm + before.compute),
+              1e-12);
+}
+
+// Seeded sweep: components spread over many binades. Stall is mostly
+// drawn near base, so that it often shares latency's binade while base
+// sits one binade below, and latency is moved off the rounded sum by 0-2
+// ulps: about 3 % of these draws are ties that the walk on stall alone
+// cannot close. Every draw must close bit-exactly, moving no component by
+// more than a few ulps of the latency.
+TEST(BlameClosure, ClosesOnRandomComponents) {
+  util::Rng rng(405);
+  const auto draw = [&rng] {
+    return std::exp(rng.uniform(std::log(1e-6), std::log(1e6)));
+  };
+  for (int rep = 0; rep < 20000; ++rep) {
+    obs::JobBlame blame;
+    blame.wait = draw();
+    blame.comm = draw();
+    blame.compute = draw();
+    blame.restart = rep % 2 == 0 ? 0.0 : draw();
+    const double base =
+        ((blame.wait + blame.comm) + blame.compute) + blame.restart;
+    blame.latency =
+        base + (rep % 4 == 3 ? draw() : base * rng.uniform(0.5, 3.0));
+    for (int ulp = 0; ulp < rep % 3; ++ulp) {
+      blame.latency = std::nextafter(blame.latency, 2.0 * blame.latency);
+    }
+    const obs::JobBlame before = blame;
+    obs::close_on_latency(blame);
+    ASSERT_EQ(blame.total(), blame.latency) << "rep " << rep;
+    const double ulps = 1e-15 * before.latency;
+    EXPECT_NEAR(blame.wait, before.wait, ulps);
+    EXPECT_NEAR(blame.comm, before.comm, ulps);
+    EXPECT_NEAR(blame.compute, before.compute, ulps);
+    EXPECT_NEAR(blame.restart, before.restart, ulps);
+  }
 }
 
 TEST(Blame, EmptyStreamYieldsNoJobs) {
