@@ -1,5 +1,9 @@
 #include "obs/validate.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -16,6 +20,78 @@ ValidationResult fail(std::size_t index, const std::string& what) {
   result.error = "traceEvents[" + std::to_string(index) + "]: " + what;
   return result;
 }
+
+/// A leaf as the diff report prints it; containers by kind and size.
+std::string describe(const util::JsonValue* value) {
+  if (value == nullptr) return "(missing)";
+  char buffer[32];
+  switch (value->kind) {
+    case util::JsonValue::Kind::kNull:
+      return "null";
+    case util::JsonValue::Kind::kBool:
+      return value->boolean ? "true" : "false";
+    case util::JsonValue::Kind::kNumber:
+      std::snprintf(buffer, sizeof(buffer), "%.17g", value->number);
+      return buffer;
+    case util::JsonValue::Kind::kString:
+      return "\"" + value->string + "\"";
+    case util::JsonValue::Kind::kArray:
+      return "array of " + std::to_string(value->array.size());
+    case util::JsonValue::Kind::kObject:
+      return "object of " + std::to_string(value->object.size());
+  }
+  return "?";
+}
+
+/// Leaf-by-leaf comparison of two payload trees. Object members pair by
+/// key, array elements by index; a member or element present on one side
+/// only, or a pair of different kinds, counts as one differing leaf.
+struct PayloadDiff {
+  std::size_t leaves = 0;     ///< leaves compared
+  std::size_t differing = 0;  ///< of which differ
+  std::size_t integral = 0;   ///< differing numbers, both integers
+  double max_relative = 0.0;  ///< over differing numbers
+  std::string first;          ///< "path: a vs b" of the first difference
+
+  void walk(const util::JsonValue* a, const util::JsonValue* b,
+            const std::string& path) {
+    if (a != nullptr && b != nullptr && a->kind == b->kind) {
+      if (a->is_object()) {
+        for (const auto& [key, value] : a->object) {
+          walk(&value, b->find(key), path + "." + key);
+        }
+        for (const auto& [key, value] : b->object) {
+          if (a->find(key) == nullptr) walk(nullptr, &value, path + "." + key);
+        }
+        return;
+      }
+      if (a->is_array()) {
+        const std::size_t n = std::max(a->array.size(), b->array.size());
+        for (std::size_t i = 0; i < n; ++i) {
+          walk(i < a->array.size() ? &a->array[i] : nullptr,
+               i < b->array.size() ? &b->array[i] : nullptr,
+               path + "[" + std::to_string(i) + "]");
+        }
+        return;
+      }
+    }
+    ++leaves;
+    if (a != nullptr && b != nullptr && *a == *b) return;
+    if (differing++ == 0) {
+      first = path + ": " + describe(a) + " vs " + describe(b);
+    }
+    if (a == nullptr || b == nullptr || !a->is_number() || !b->is_number()) {
+      return;
+    }
+    const double scale = std::max(std::abs(a->number), std::abs(b->number));
+    max_relative =
+        std::max(max_relative, std::abs(a->number - b->number) / scale);
+    if (std::trunc(a->number) == a->number &&
+        std::trunc(b->number) == b->number) {
+      ++integral;
+    }
+  }
+};
 
 }  // namespace
 
@@ -255,12 +331,24 @@ ValidationResult compare_deterministic_payload(const util::JsonValue& a,
     result.error = "document without a \"deterministic\" payload";
     return result;
   }
+  PayloadDiff diff;
+  diff.walk(payload_a, payload_b, "deterministic");
+  result.events = diff.leaves;
   if (!(*payload_a == *payload_b)) {
     result.ok = false;
-    result.error = "deterministic payloads differ";
-    return result;
+    if (diff.differing == 0) {
+      result.error = "deterministic payloads differ in member order";
+      return result;
+    }
+    char numbers[160];
+    std::snprintf(numbers, sizeof(numbers),
+                  "%zu of %zu leaves differ (%zu integral), max relative "
+                  "difference %.3g",
+                  diff.differing, diff.leaves, diff.integral,
+                  diff.max_relative);
+    result.error = "deterministic payloads differ: " + std::string(numbers) +
+                   "; first at " + diff.first;
   }
-  result.events = 1;
   return result;
 }
 

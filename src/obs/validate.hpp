@@ -41,7 +41,11 @@ struct ValidationResult {
 
 /// Compare the deterministic payloads of two bench JSON documents: the
 /// value under "deterministic" must be structurally identical (doubles
-/// bitwise-equal as printed). Documents missing the key fail.
+/// bitwise-equal as printed). Documents missing the key fail. On a
+/// mismatch the error names the path of the first differing leaf with
+/// both values, the number of differing leaves (and how many of them
+/// are integer pairs) and the largest relative difference among the
+/// numbers; `events` counts the leaves compared.
 [[nodiscard]] ValidationResult compare_deterministic_payload(
     const util::JsonValue& a, const util::JsonValue& b);
 

@@ -682,5 +682,58 @@ TEST(TraceContent, ServersEmitOneArrivalPerOfferedJob) {
             jobs.size());
 }
 
+// The bench-diff report names the first differing leaf by path with
+// both values, counts the differing leaves (and the integer pairs among
+// them) and gives the largest relative difference; the measured sidecar
+// takes no part.
+TEST(PayloadDiff, NamesFirstLeafCountAndLargestRelativeDifference) {
+  const util::JsonValue a = util::parse_json(
+      R"({"deterministic": {"label": "x", "points": [)"
+      R"({"jobs": 10, "mean": 1.5}, {"jobs": 12, "mean": 2.0}]},)"
+      R"( "measured": {"wall_s": 1.0}})");
+  const util::JsonValue b = util::parse_json(
+      R"({"deterministic": {"label": "x", "points": [)"
+      R"({"jobs": 10, "mean": 1.5000000000000002}, {"jobs": 13, "mean": 2.5}]},)"
+      R"( "measured": {"wall_s": 9.0}})");
+  const obs::ValidationResult same = obs::compare_deterministic_payload(a, a);
+  EXPECT_TRUE(same.ok);
+  EXPECT_EQ(same.events, 5U);
+  const obs::ValidationResult diff = obs::compare_deterministic_payload(a, b);
+  EXPECT_FALSE(diff.ok);
+  EXPECT_EQ(diff.events, 5U);
+  EXPECT_NE(diff.error.find("3 of 5 leaves differ (1 integral)"),
+            std::string::npos)
+      << diff.error;
+  EXPECT_NE(diff.error.find("max relative difference 0.2"),
+            std::string::npos)
+      << diff.error;
+  EXPECT_NE(diff.error.find("first at deterministic.points[0].mean: 1.5 vs "
+                            "1.5000000000000002"),
+            std::string::npos)
+      << diff.error;
+}
+
+// Structural differences count as differing leaves at their path.
+TEST(PayloadDiff, MissingMembersAndElementsCountAsLeaves) {
+  const util::JsonValue a = util::parse_json(
+      R"({"deterministic": {"points": [1, 2], "old": true}})");
+  const util::JsonValue b = util::parse_json(
+      R"({"deterministic": {"points": [1, 2, 3], "new": "y"}})");
+  const obs::ValidationResult diff = obs::compare_deterministic_payload(a, b);
+  EXPECT_FALSE(diff.ok);
+  EXPECT_NE(diff.error.find("3 of 5 leaves differ (0 integral)"),
+            std::string::npos)
+      << diff.error;
+  EXPECT_NE(diff.error.find("first at deterministic.points[2]: (missing) "
+                            "vs 3"),
+            std::string::npos)
+      << diff.error;
+  const util::JsonValue reordered = util::parse_json(
+      R"({"deterministic": {"old": true, "points": [1, 2]}})");
+  EXPECT_EQ(obs::compare_deterministic_payload(a, reordered).error,
+            "deterministic payloads differ in member order");
+  EXPECT_FALSE(obs::compare_deterministic_payload(a, util::parse_json("{}")));
+}
+
 }  // namespace
 }  // namespace nldl
