@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "util/assert.hpp"
-#include "util/roots.hpp"
 
 namespace nldl::dlt {
 
@@ -16,34 +15,70 @@ std::vector<sim::ChunkAssignment> NonlinearAllocation::to_schedule() const {
 
 namespace {
 
-/// Outer-solve tolerances: on T relative to the bracket guess, on Σ n_i
-/// relative to the load.
-constexpr double kTolerance = 1e-10;
-constexpr int kMaxIterations = 200;
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Solve c·n + w·n^alpha = budget for n >= 0 (unique root; 0 if budget <= 0).
-double chunk_for_budget(double c, double w, double alpha, double budget) {
-  if (budget <= 0.0) return 0.0;
-  auto f = [&](double n) { return c * n + w * std::pow(n, alpha) - budget; };
-  auto df = [&](double n) {
-    return c + w * alpha * std::pow(n, alpha - 1.0);
+/// One evaluation of an increasing function g: its value and its slope.
+struct Probe {
+  double x = 0.0;
+  double g = 0.0;
+  double slope = 0.0;
+};
+
+/// The canonical root of an increasing g with g(0) < 0: the bracket
+/// [lo, hi] keeps g(lo) < 0 <= g(hi) and shrinks until lo and hi are
+/// adjacent doubles, and the probe at hi is returned. When the computed g
+/// is itself monotone, that is the smallest double at which g turns
+/// non-negative, whatever the probes were. `eval(x)` returns the probe at
+/// x > 0; hi starts at `hi_guess` and doubles until g(hi) >= 0. Probes
+/// are safeguarded Newton steps from `start`, or from hi when `start` is
+/// not inside the bracket. A step beyond the bracket bisects it instead; a
+/// step that rounds onto an end of the bracket (its own probe, after the
+/// probe became that end) moves one ulp inside from that end. Every probe
+/// lies strictly inside the bracket, so each one shrinks it.
+template <typename Eval>
+Probe canonical_root(Eval&& eval, double hi_guess, double start) {
+  Probe hi = eval(hi_guess);
+  while (hi.g < 0.0) {
+    NLDL_ASSERT(hi.x < kInf, "no sign change below the largest double");
+    hi = eval(2.0 * hi.x);
+  }
+  double lo = 0.0;
+  double x = lo < start && start < hi.x ? start : hi.x - hi.g / hi.slope;
+  while (std::nextafter(lo, kInf) < hi.x) {
+    if (!(x > lo)) {
+      x = x < lo || std::isnan(x) ? 0.5 * (lo + hi.x)
+                                  : std::nextafter(lo, kInf);
+    } else if (!(x < hi.x)) {
+      x = x > hi.x ? 0.5 * (lo + hi.x) : std::nextafter(hi.x, -kInf);
+    }
+    const Probe at = eval(x);
+    if (at.g < 0.0) {
+      lo = x;
+    } else {
+      hi = at;
+    }
+    x -= at.g / at.slope;
+  }
+  return hi;
+}
+
+/// Solve c·n + w·n^alpha = budget for n >= 0 (unique root; 0 if budget <=
+/// 0): the canonical root, with its slope dg/dn, probed from `start`.
+Probe chunk_for_budget(double c, double w, double alpha, double budget,
+                       double start) {
+  if (budget <= 0.0) return {};
+  const auto eval = [&](double n) {
+    const double power = std::pow(n, alpha);
+    return Probe{n, c * n + w * power - budget, c + alpha * w * power / n};
   };
-  // Upper bracket: communication alone (n = budget / c) or computation
-  // alone (n = (budget / w)^(1/alpha)) spends the whole budget, so at
-  // either bound the other term makes f >= 0 in exact arithmetic. When
-  // that term is negligible, rounding can still leave f a hair below 0,
-  // so widen the bracket until the sign really changes.
-  double hi = std::min(budget / c, std::pow(budget / w, 1.0 / alpha));
-  while (f(hi) < 0.0) hi *= 2.0;
-  // Tolerances must scale with the problem: |f| carries the magnitude of
-  // `budget` (double precision bottoms out near 1e-16·budget), and the
-  // bracket carries the magnitude of the chunk size.
-  util::RootOptions opts;
-  opts.f_tol = 1e-12 * std::max(1.0, budget);
-  opts.x_tol = 1e-13 * std::max(1.0, hi);
-  const auto result = util::newton_safeguarded(f, df, 0.0, hi, opts);
-  NLDL_ASSERT(result.converged, "nonlinear chunk solve did not converge");
-  return result.x;
+  // Communication alone (n = budget / c) or computation alone (n =
+  // (budget / w)^(1/alpha)) spends the whole budget, so either bound
+  // brackets the root in exact arithmetic; canonical_root widens it when
+  // rounding leaves g a hair below 0 there, or when it underflows to 0.
+  const double bound = std::max(std::min(budget / c, std::pow(budget / w,
+                                                              1.0 / alpha)),
+                                std::numeric_limits<double>::denorm_min());
+  return canonical_root(eval, bound, start);
 }
 
 /// Makespan of worker i processing the whole load alone.
@@ -64,34 +99,43 @@ void finalize(NonlinearAllocation& alloc, double total_load, double alpha) {
       alloc.total_work > 0.0 ? 1.0 - alloc.work_done / alloc.total_work : 0.0;
 }
 
+/// Σ n_i(T) in worker order and its derivative in T.
+struct Fill {
+  double sum = 0.0;
+  double slope = 0.0;
+};
+
 /// The equal-finish-time system both allocators solve: find the makespan
 /// T at which the chunks n_i(T) sum to total_load. `fill(T, amounts)`
-/// sets every n_i(T) and returns Σ n_i in worker order; the sum is
-/// continuous and increasing in T, so T is bisected from [0, t_hi], and
-/// t_hi grows if it rounds below the root (it can sit exactly on it, e.g.
-/// for p = 1). The final fill's residual is rescaled away so that
-/// Σ n_i == total_load exactly, and alloc.makespan is the root T. Returns
-/// the final fill's sum (0 when nothing was placed).
-template <typename Fill>
+/// sets every n_i(T), starting each inner solve from amounts[i] (the
+/// previous probe's chunk), and returns Σ n_i with its slope. T is the
+/// canonical root of Σ n_i(T) − total_load from [0, t_hi]. The residual of
+/// the fill at T is rescaled away so that Σ n_i == total_load exactly, and
+/// alloc.makespan is T. Returns the fill's sum at T (0 when nothing was
+/// placed).
+template <typename FillAt>
 double solve_equal_finish(NonlinearAllocation& alloc, std::size_t p,
                           double total_load, double alpha, double t_hi,
-                          Fill&& fill) {
+                          FillAt&& fill) {
   NLDL_REQUIRE(total_load >= 0.0, "total_load must be >= 0");
   NLDL_REQUIRE(alpha >= 1.0, "alpha must be >= 1");
   alloc.amounts.assign(p, 0.0);
   double sum = 0.0;
   if (total_load > 0.0) {
     std::vector<double> scratch(p, 0.0);
-    auto f = [&](double T) { return fill(T, scratch) - total_load; };
-    util::RootOptions root_opts;
-    root_opts.x_tol = kTolerance * t_hi;
-    root_opts.f_tol = kTolerance * total_load;
-    root_opts.max_iterations = kMaxIterations;
-    const auto root = util::solve_increasing(f, 0.0, t_hi, root_opts);
-    NLDL_ASSERT(root.converged, "nonlinear outer bisection did not converge");
-    alloc.makespan = root.x;
-    alloc.solver_iterations = root.iterations;
-    sum = fill(root.x, alloc.amounts);
+    // Every probe with g >= 0 becomes the bracket's upper end, so the
+    // last such probe's chunks are the chunks at the returned root.
+    const auto eval = [&](double T) {
+      ++alloc.solver_iterations;
+      const Fill at = fill(T, scratch);
+      const double g = at.sum - total_load;
+      if (g >= 0.0) {
+        alloc.amounts = scratch;
+        sum = at.sum;
+      }
+      return Probe{T, g, at.slope};
+    };
+    alloc.makespan = canonical_root(eval, t_hi, 0.0).x;
     if (sum > 0.0) {
       const double scale = total_load / sum;
       for (double& n : alloc.amounts) n *= scale;
@@ -116,13 +160,16 @@ NonlinearAllocation nonlinear_parallel_single_round(
   const double sum = solve_equal_finish(
       alloc, p, total_load, alpha, t_hi,
       [&](double T, std::vector<double>& amounts) {
-        double assigned = 0.0;
+        // dn_i/dT = 1 / (c_i + alpha·w_i·n_i^(alpha−1)).
+        Fill at;
         for (std::size_t i = 0; i < p; ++i) {
-          amounts[i] =
-              chunk_for_budget(platform.c(i), platform.w(i), alpha, T);
-          assigned += amounts[i];
+          const Probe chunk = chunk_for_budget(platform.c(i), platform.w(i),
+                                               alpha, T, amounts[i]);
+          amounts[i] = chunk.x;
+          at.sum += chunk.x;
+          at.slope += 1.0 / chunk.slope;
         }
-        return assigned;
+        return at;
       });
   // The rescale moved every finish time off T; report the latest.
   if (sum > 0.0) {
@@ -149,16 +196,24 @@ NonlinearAllocation nonlinear_one_port_single_round(
       alloc, p, total_load, alpha, t_hi,
       [&](double T, std::vector<double>& amounts) {
         // Feed workers in platform order; each takes the largest chunk it
-        // can finish by T once the master's port frees up for it.
+        // can finish by T once the master's port frees up for it. With
+        // clock = Σ_{j<i} c_j·n_j, dn_i/dT = (1 − dclock/dT) / (c_i +
+        // alpha·w_i·n_i^(alpha−1)), and 0 for workers fed no load.
         double clock = 0.0;
-        double assigned = 0.0;
+        double clock_slope = 0.0;
+        Fill at;
         for (std::size_t i = 0; i < p; ++i) {
-          amounts[i] = chunk_for_budget(platform.c(i), platform.w(i), alpha,
-                                        T - clock);
-          clock += platform.c(i) * amounts[i];
-          assigned += amounts[i];
+          const Probe chunk = chunk_for_budget(platform.c(i), platform.w(i),
+                                               alpha, T - clock, amounts[i]);
+          amounts[i] = chunk.x;
+          const double slope =
+              chunk.x > 0.0 ? (1.0 - clock_slope) / chunk.slope : 0.0;
+          clock += platform.c(i) * chunk.x;
+          clock_slope += platform.c(i) * slope;
+          at.sum += chunk.x;
+          at.slope += slope;
         }
-        return assigned;
+        return at;
       });
   return alloc;
 }

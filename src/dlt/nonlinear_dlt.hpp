@@ -4,8 +4,13 @@
 // alpha > 1 (e.g. alpha = 2 for the "quadratic loads" of Hung & Robertazzi,
 // Suresh et al. — refs [31–35] of the paper). Optimal single-round
 // allocations equalize finish times; they have no closed form on
-// heterogeneous platforms, so nldl solves the optimality conditions with its
-// own bracketed root-finders (util/roots.hpp).
+// heterogeneous platforms, so nldl solves the optimality conditions with
+// its own root-finder: safeguarded Newton on T outside and on each n_i(T)
+// inside, each run until its bracket is two adjacent doubles. The result is
+// then the canonical root (the smallest double at which the computed
+// residual turns non-negative) whenever that residual is monotone in
+// floating point, as it is under parallel links: the probes only decide
+// how fast the root is found, never which root it is.
 //
 // The headline quantity is `remaining_fraction`: the share of the total
 // work W = N^alpha that is *not* performed by the single DLT round,
@@ -39,12 +44,17 @@ struct NonlinearAllocation {
   /// 1 − work_done / total_work (the paper's (W − W_partial)/W).
   double remaining_fraction = 0.0;
 
-  int solver_iterations = 0;  ///< outer bisection iterations
+  /// Outer probes of T, the bracket's first end included: each one
+  /// solves every n_i(T). 0 when nothing was placed.
+  int solver_iterations = 0;
 };
 
 /// Optimal single-round allocation under the parallel-links model:
 ///   c_i·n_i + w_i·n_i^alpha = T for all i,  Σ n_i = total_load.
-/// Solved by nested bisection (outer on T, inner on each n_i(T)).
+/// Solved by nested safeguarded Newton (outer on T, inner on each n_i(T)),
+/// both run to adjacent doubles; T is the canonical root of the computed
+/// Σ n_i(T) − total_load, which is monotone in T, so the result is the one
+/// plain bisection to adjacent doubles would find, bit for bit.
 /// Requires alpha >= 1; with alpha == 1 this matches the linear closed form.
 [[nodiscard]] NonlinearAllocation nonlinear_parallel_single_round(
     const platform::Platform& platform, double total_load, double alpha);
@@ -54,7 +64,10 @@ struct NonlinearAllocation {
 /// at τ_i = Σ_{j<i} c_j·n_j and satisfies
 ///   τ_i + c_i·n_i + w_i·n_i^alpha = T.
 /// This is the setting of the nonlinear-DLT literature ([31–35]); workers
-/// that cannot receive anything before T contribute n_i = 0.
+/// that cannot receive anything before T contribute n_i = 0. Solved like
+/// the parallel allocator, but the T − τ_i budgets make the computed
+/// Σ n_i(T) non-monotone over a few ulps, so T is a sign change of it
+/// rather than the smallest one.
 [[nodiscard]] NonlinearAllocation nonlinear_one_port_single_round(
     const platform::Platform& platform, double total_load, double alpha);
 
