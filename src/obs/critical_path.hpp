@@ -110,8 +110,9 @@ struct JobBlame {
 /// latency − base (base being the first four summed in total()'s order)
 /// and walks by ulps. When every exact sum base + stall lands on a
 /// rounding tie, ties-to-even reaches only half the doubles near the
-/// latency; the walk then fails, the largest of the other four components
-/// moves by one ulp (changing base's low bits), and the walk retries.
+/// latency; the walk then fails, the last non-zero component of base
+/// moves by one ulp of base until base moves, and the walk retries. Only
+/// that component can move, by at most two ulps of base.
 void close_on_latency(JobBlame& blame);
 
 /// Reconstruct every traced job's critical path and blame decomposition.
